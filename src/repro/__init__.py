@@ -51,15 +51,7 @@ from repro.qed.equivalents import (
     verify_equivalences,
 )
 from repro.qed.mapping import RegisterPartition, MemoryPartition
-from repro.par import (
-    PortfolioConfig,
-    PortfolioSolver,
-    TaskPool,
-    check_frames_sharded,
-    check_properties_parallel,
-    prove_properties_parallel,
-    verify_equivalences_parallel,
-)
+from repro.par import TaskPool
 from repro.core.flow import SqedFlow, SepeSqedFlow, pool_for_bug
 from repro.core.results import ProofOutcome, VerificationOutcome
 from repro.bmc.engine import BmcEngine, BmcSession
@@ -111,13 +103,7 @@ __all__ = [
     "verify_equivalences",
     "RegisterPartition",
     "MemoryPartition",
-    "PortfolioConfig",
-    "PortfolioSolver",
     "TaskPool",
-    "check_frames_sharded",
-    "check_properties_parallel",
-    "prove_properties_parallel",
-    "verify_equivalences_parallel",
     "SqedFlow",
     "SepeSqedFlow",
     "pool_for_bug",

@@ -82,25 +82,6 @@ class BmcResult:
         return None if self.trace is None else self.trace.length
 
 
-def load_frame_constraints(
-    unroller: Unroller, context: SolverContext, loaded: int, frame: int
-) -> int:
-    """Assert the global constraints of frames ``loaded..frame`` into ``context``.
-
-    Returns the new count of loaded frames.  Shared by the incremental
-    session and the sharded workers so the two paths cannot drift.
-    """
-    while loaded <= frame:
-        for constraint in unroller.constraints_at(loaded):
-            if constraint.is_const:
-                if constraint.const_value() == 0:
-                    raise BmcError("a global constraint is constantly false")
-                continue
-            context.add(constraint)
-        loaded += 1
-    return loaded
-
-
 def prepare_property_system(
     ts: TransitionSystem,
     property_name: str,
@@ -111,8 +92,7 @@ def prepare_property_system(
     At ``opt_level >= 1`` the transition system is restricted to the
     property's cone of influence; the returned reduction (``None`` when
     nothing was dropped or COI is off) carries what a trace builder needs to
-    reconstruct the dropped signals.  Shared by the incremental session and
-    the sharded workers so the two paths cannot drift.
+    reconstruct the dropped signals.  Shared by BMC, k-induction and PDR.
     """
     if not pipeline.coi:
         return ts, None
@@ -120,31 +100,6 @@ def prepare_property_system(
     if not reduction.reduced:
         return ts, None
     return reduction.ts, reduction
-
-
-def prepare_absint_fold(ts: TransitionSystem, pipeline: PipelineConfig):
-    """The abstract-interpretation fold of ``ts``, or ``None``.
-
-    Folds proven-constant latches/bits out of the (already COI-reduced)
-    system before unrolling.  Returns ``None`` when the layer is disabled,
-    nothing folds, or a constraint would fold to constant false — that
-    last case means the constraints are unsatisfiable on the abstract
-    reachable set, and the unfolded path must keep reporting it through
-    its own semantics (``load_frame_constraints``) rather than ours.
-    Shared by the incremental session and the sharded workers so the two
-    paths cannot drift.
-    """
-    if not pipeline.use_absint:
-        return None
-    from repro.absint import analyze, fold_system
-
-    fold = fold_system(ts, analyze(ts))
-    if fold is None:
-        return None
-    for constraint in fold.ts.constraints:
-        if constraint.is_const and constraint.const_value() == 0:
-            return None
-    return fold
 
 
 def build_trace(
@@ -267,7 +222,7 @@ class BmcSession:
         # narrow partially-known ones before unrolling.  Facts are
         # invariants, so verdicts and counterexample frames are unchanged
         # (the differential REPRO_ABSINT=0-vs-1 suite gates on this).
-        self.fold = prepare_absint_fold(reduced_ts, self.pipeline)
+        self.fold = self._absint_fold(reduced_ts)
         if self.fold is not None:
             reduced_ts = self.fold.ts
         self.unroller = Unroller(reduced_ts)
@@ -284,12 +239,40 @@ class BmcSession:
         self._constraints_loaded = 0  # frames whose constraints are asserted
         self._next_frame = 0  # first frame not yet decided safe
 
+    def _absint_fold(self, ts: TransitionSystem):
+        """The abstract-interpretation fold of ``ts``, or ``None``.
+
+        ``None`` when the layer is disabled, nothing folds, or a constraint
+        would fold to constant false — that last case means the constraints
+        are unsatisfiable on the abstract reachable set, and the unfolded
+        path must keep reporting it through its own semantics
+        (:meth:`_load_constraints`) rather than ours.
+        """
+        if not self.pipeline.use_absint:
+            return None
+        from repro.absint import analyze, fold_system
+
+        fold = fold_system(ts, analyze(ts))
+        if fold is None:
+            return None
+        for constraint in fold.ts.constraints:
+            if constraint.is_const and constraint.const_value() == 0:
+                return None
+        return fold
+
     # ---------------------------------------------------------------- loading
 
     def _load_constraints(self, frame: int) -> None:
-        self._constraints_loaded = load_frame_constraints(
-            self.unroller, self.context, self._constraints_loaded, frame
-        )
+        """Assert the global constraints of every frame up to ``frame``."""
+        while self._constraints_loaded <= frame:
+            loading = self._constraints_loaded
+            for constraint in self.unroller.constraints_at(loading):
+                if constraint.is_const:
+                    if constraint.const_value() == 0:
+                        raise BmcError("a global constraint is constantly false")
+                    continue
+                self.context.add(constraint)
+            self._constraints_loaded = loading + 1
 
     # --------------------------------------------------------------- encoding
 

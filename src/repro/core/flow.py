@@ -63,11 +63,9 @@ def pool_for_bug(
 class _BaseFlow:
     """Shared machinery of the two flows.
 
-    ``jobs`` controls parallel execution: with ``jobs > 1`` a single
-    :meth:`run` shards the BMC frames across worker processes
-    (:func:`repro.par.bmc.check_frames_sharded`) and :meth:`run_many`
-    distributes independent bug variants across workers.  ``jobs=1`` (the
-    default) is the plain sequential incremental path.
+    ``jobs`` is the default worker count of :meth:`run_many`, which
+    distributes independent bug variants across worker processes.  A
+    single :meth:`run` is always one sequential incremental BMC run.
     """
 
     method = "base"
@@ -120,38 +118,20 @@ class _BaseFlow:
         bug: Optional[Bug] = None,
         bound: int = 12,
         conflict_budget: Optional[int] = None,
-        jobs: Optional[int] = None,
     ) -> VerificationOutcome:
         """Build the verification model, run BMC and summarise the outcome.
 
-        ``jobs`` overrides the flow-level knob for this run.  In sharded
-        mode (``jobs > 1``) the ``conflict_budget`` caps each frame's query
-        instead of the whole run — frames race, so a cumulative cap has no
-        sequential order to follow.
+        ``conflict_budget`` caps the whole run's conflicts across frames.
         """
-        effective_jobs = self.jobs if jobs is None else jobs
         start = time.perf_counter()
         model = self._gate_model(self.build_model(bug))
-        if effective_jobs == 1:
-            # lint="off": the gate above already covered this exact system.
-            engine = BmcEngine(
-                model.ts, backend=self.backend, opt_level=self._opt(), lint="off"
-            )
-            result = engine.check(
-                model.property_name, bound=bound, conflict_budget=conflict_budget
-            )
-        else:
-            from repro.par.bmc import check_frames_sharded
-
-            result = check_frames_sharded(
-                model.ts,
-                model.property_name,
-                bound=bound,
-                jobs=effective_jobs,
-                backend=self.backend,
-                conflict_budget=conflict_budget,
-                opt_level=self._opt(),
-            )
+        # lint="off": the gate above already covered this exact system.
+        engine = BmcEngine(
+            model.ts, backend=self.backend, opt_level=self._opt(), lint="off"
+        )
+        result = engine.check(
+            model.property_name, bound=bound, conflict_budget=conflict_budget
+        )
         elapsed = time.perf_counter() - start
         detected: Optional[bool]
         if result.holds is None:
@@ -259,7 +239,7 @@ class _BaseFlow:
         effective_jobs = self.jobs if jobs is None else jobs
 
         def task(bug: Optional[Bug]) -> VerificationOutcome:
-            return self.run(bug, bound=bound, conflict_budget=conflict_budget, jobs=1)
+            return self.run(bug, bound=bound, conflict_budget=conflict_budget)
 
         return TaskPool(effective_jobs).map(task, bug_list)
 

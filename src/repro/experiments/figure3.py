@@ -148,11 +148,11 @@ def _decode_run(payload: dict, isa: IsaConfig, library) -> SynthesisRun:
 def run_figure3(config: Figure3Config | None = None) -> Figure3Result:
     """Run the HPF vs iterative comparison and return the per-case runs.
 
-    With ``jobs > 1`` the cases shard across worker processes; each worker
+    With ``jobs > 1`` the cases spread across worker processes; each worker
     synthesizes one case with both algorithms, so the per-case comparison
     stays apples-to-apples (same process, same warmed caches).  ``jobs=1``
     runs the historical batch path on shared engine objects, where HPF's
-    priority weights carry over from case to case; sharded cases instead
+    priority weights carry over from case to case; pooled cases instead
     start from the initial priority dictionary (fresh engines per case, so
     results do not depend on which worker served which case).
     """

@@ -1,13 +1,12 @@
 """A multiprocessing task pool with deterministic results and crash recovery.
 
-The experiments and batch drivers all reduce to the same shape: a list of
-independent tasks whose results must come back *in task order*, regardless
-of which worker finished first.  :class:`TaskPool` provides exactly that:
+The experiment harnesses, ``run_many`` and the bug-zoo campaign all reduce
+to the same shape: a list of independent tasks whose results must come
+back *in task order*, regardless of which worker finished first.
+:class:`TaskPool` provides exactly that:
 
 * ``jobs=1`` degenerates to plain in-process sequential execution — no
   subprocess, no pickling, bit-identical to a hand-written ``for`` loop.
-  Every parallel driver in :mod:`repro.par` leans on this to guarantee the
-  sequential path stays available for differential testing.
 * ``jobs>1`` forks worker processes.  Tasks are dispatched by the parent
   one at a time (a worker asks for work when idle), so the parent always
   knows which task a worker is holding; results stream back over a queue
@@ -20,10 +19,8 @@ of which worker finished first.  :class:`TaskPool` provides exactly that:
 
 Tasks travel to the workers through fork inheritance, so they do not need
 to be picklable (closures over term graphs and component libraries are
-fine); task *descriptions* shipped by the built-in drivers are kept
-picklable anyway so they can migrate to spawn-based transports later.
-Results cross a process boundary and therefore must pickle; a result that
-fails to pickle is reported as a failed task, not a hung pool.
+fine).  Results cross a process boundary and therefore must pickle; a
+result that fails to pickle is reported as a failed task, not a hung pool.
 """
 
 from __future__ import annotations
@@ -59,8 +56,14 @@ class TaskResult:
 
 
 def resolve_jobs(jobs: Optional[int]) -> int:
-    """Normalise a ``jobs`` knob: ``None``/``0`` means one per CPU."""
+    """Normalise a ``jobs`` knob: ``None``/``0`` means one per usable CPU.
+
+    Usable CPUs are the ones this process may run on (its affinity mask,
+    which a cpuset or ``taskset`` narrows), not every CPU of the machine.
+    """
     if jobs is None or jobs == 0:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     if jobs < 0:
         raise ParError(f"jobs must be >= 0, got {jobs}")

@@ -110,8 +110,7 @@ def cube_clause_term(ts: TransitionSystem, cube: Cube) -> BV:
 
     Also the bridge for results that crossed a process boundary: cubes are
     plain picklable tuples, while ``BV`` terms are interned per process and
-    must be rebuilt on arrival (see
-    :func:`repro.par.bmc.prove_properties_parallel`).
+    must be rebuilt on arrival.
     """
     parts = []
     for name, bit, value in cube:

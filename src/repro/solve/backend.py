@@ -112,37 +112,16 @@ class CdclBackend:
     ``conflict_budget`` is interpreted per call: the budget of one query is
     not eroded by the conflicts of earlier queries on the same context
     (both kernels count conflicts per call).  UNSAT cores come straight
-    from the solver's final-conflict analysis.
-
-    The conflict-quality knobs thread straight through to both kernels:
-    ``lbd_tiers`` (glucose-style LBD-tiered learned-clause retention),
-    ``phase_saving`` (saved polarities with a target-phase reset on
-    restart) and ``minimize`` (recursive conflict-clause minimisation).
-    All three default on; turning one off reverts to the pre-heuristic
-    behaviour, which the differential fuzz suite exercises.
+    from the solver's final-conflict analysis.  The kernel runs with its
+    default heuristics; the tuning knobs live on the kernels' own
+    constructors.
     """
 
     name = "cdcl"
 
-    def __init__(
-        self,
-        var_decay: float = 0.95,
-        default_phase: bool = False,
-        restart_interval: int = 100,
-        kernel: Optional[str] = None,
-        lbd_tiers: bool = True,
-        phase_saving: bool = True,
-        minimize: bool = True,
-    ) -> None:
+    def __init__(self, kernel: Optional[str] = None) -> None:
         self.kernel = resolve_sat_kernel(kernel)
-        self._solver = _KERNEL_CLASSES[self.kernel](
-            var_decay=var_decay,
-            default_phase=default_phase,
-            restart_interval=restart_interval,
-            lbd_tiers=lbd_tiers,
-            phase_saving=phase_saving,
-            minimize=minimize,
-        )
+        self._solver = _KERNEL_CLASSES[self.kernel]()
 
     @property
     def stats(self) -> SolverStats:
@@ -336,8 +315,8 @@ class DimacsBackend:
 #: Specs naming the builtin CDCL backend (the default everywhere).
 DEFAULT_BACKEND_SPECS = ("cdcl", "builtin")
 
-#: Builtin specs that accept solver tuning knobs, mapped to the kernel they
-#: pin (``None`` = follow the process default / ``REPRO_SAT_BACKEND``).
+#: Specs naming the builtin CDCL backend, mapped to the kernel they pin
+#: (``None`` = follow the process default / ``REPRO_SAT_BACKEND``).
 TUNABLE_BACKEND_SPECS: dict = {
     "cdcl": None,
     "builtin": None,
@@ -349,11 +328,6 @@ TUNABLE_BACKEND_SPECS: dict = {
 def is_default_backend(spec: "str | SatBackend") -> bool:
     """True when ``spec`` names the default builtin backend."""
     return isinstance(spec, str) and spec in DEFAULT_BACKEND_SPECS
-
-
-def is_builtin_backend(spec: "str | SatBackend") -> bool:
-    """True when ``spec`` names any builtin CDCL backend (either kernel)."""
-    return isinstance(spec, str) and spec in TUNABLE_BACKEND_SPECS
 
 
 def dimacs_solver_available(executable: str) -> bool:
