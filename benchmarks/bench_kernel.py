@@ -21,7 +21,9 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import random
 import sys
 import time
@@ -55,6 +57,20 @@ def _random_3sat(seed: int, num_vars: int, num_clauses: int) -> CNF:
         lits = rng.sample(range(1, num_vars + 1), 3)
         clauses.append([v if rng.random() < 0.5 else -v for v in lits])
     return CNF(clauses, num_vars=num_vars)
+
+
+@contextlib.contextmanager
+def _pinned_kernel(kernel: str):
+    """Run the enclosed engines on ``kernel`` via ``$REPRO_SAT_BACKEND``."""
+    saved = os.environ.get("REPRO_SAT_BACKEND")  # selflint: allow-env
+    os.environ["REPRO_SAT_BACKEND"] = kernel  # selflint: allow-env
+    try:
+        yield
+    finally:
+        if saved is None:
+            del os.environ["REPRO_SAT_BACKEND"]  # selflint: allow-env
+        else:
+            os.environ["REPRO_SAT_BACKEND"] = saved  # selflint: allow-env
 
 
 def _snapshot(solver, verdict, seconds: float) -> dict:
@@ -210,8 +226,9 @@ def bench_engine_query(name, smoke, failures):
     for kernel in KERNELS:
         ts = lockstep_accumulators(f"bk_{kernel}", xlen=xlen)
         start = time.perf_counter()
-        bmc = BmcEngine(ts, backend=kernel).check("consistent", bound=8 if smoke else 12)
-        pdr = PdrEngine(ts, backend=kernel, max_frames=10).prove("consistent")
+        with _pinned_kernel(kernel):
+            bmc = BmcEngine(ts).check("consistent", bound=8 if smoke else 12)
+            pdr = PdrEngine(ts, max_frames=10).prove("consistent")
         seconds = time.perf_counter() - start
         verdicts[kernel] = (bmc.holds, pdr.proven)
         stats = pdr.stats.solver_stats
@@ -257,9 +274,10 @@ def bench_golden_pdr(name, failures):
     for kernel in KERNELS:
         isa = IsaConfig.small(xlen=4, num_regs=4)
         config = ProcessorConfig(isa=isa, supported_ops=("ADD", "SUB"))
-        flow = SqedFlow(config, backend=kernel)
+        flow = SqedFlow(config)
         start = time.perf_counter()
-        outcome = flow.prove(None, engine="pdr", max_frames=3)
+        with _pinned_kernel(kernel):
+            outcome = flow.prove(None, engine="pdr", max_frames=3)
         seconds = time.perf_counter() - start
         stats = outcome.pdr_result.stats.solver_stats
         verdicts[kernel] = outcome.proven

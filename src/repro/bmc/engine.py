@@ -26,7 +26,6 @@ from repro.errors import BmcError
 from repro.sat.solver import SolverStats
 from repro.smt import terms as T
 from repro.smt.evaluator import evaluate, free_variables
-from repro.solve.backend import is_default_backend
 from repro.solve.context import SolverContext
 from repro.solve.pipeline import EncodingStats, PipelineConfig
 from repro.ts.coi import CoiReduction, cached_property_cone
@@ -181,7 +180,6 @@ class BmcSession:
         ts: TransitionSystem,
         property_name: str,
         start_frame: int = 0,
-        backend: str = "cdcl",
         context: Optional[SolverContext] = None,
         opt_level: "PipelineConfig | int | None" = None,
         lint: Optional[str] = None,
@@ -199,11 +197,6 @@ class BmcSession:
         self.ts = ts
         self.property_name = property_name
         self.start_frame = start_frame
-        if context is not None and not is_default_backend(backend):
-            raise BmcError(
-                "pass either a backend spec or an explicit context, not both: "
-                "a supplied context already carries its own backend"
-            )
         if context is not None and opt_level is not None:
             raise BmcError(
                 "pass either an opt_level or an explicit context, not both: "
@@ -229,7 +222,7 @@ class BmcSession:
         self.context = (
             context
             if context is not None
-            else SolverContext(backend=backend, opt_level=self.pipeline)
+            else SolverContext(opt_level=self.pipeline)
         )
         # Solver work is accumulated per extend_to call, so queries a shared
         # context serves before or between calls are never attributed to
@@ -413,14 +406,12 @@ class BmcEngine:
         self,
         ts: TransitionSystem,
         start_frame: int = 0,
-        backend: str = "cdcl",
         opt_level: "PipelineConfig | int | None" = None,
         lint: Optional[str] = None,
     ):
         ts.validate()
         self.ts = ts
         self.start_frame = start_frame
-        self.backend = backend
         self.opt_level = opt_level
         self.lint = lint
 
@@ -430,7 +421,6 @@ class BmcEngine:
             self.ts,
             property_name,
             start_frame=self.start_frame,
-            backend=self.backend,
             opt_level=self.opt_level,
             lint=self.lint,
         )

@@ -52,12 +52,10 @@ class KInductionEngine:
     def __init__(
         self,
         ts: TransitionSystem,
-        backend: str = "cdcl",
         opt_level: "PipelineConfig | int | None" = None,
     ):
         ts.validate()
         self.ts = ts
-        self.backend = backend
         self.pipeline = PipelineConfig.resolve(opt_level)
 
     @staticmethod
@@ -103,10 +101,8 @@ class KInductionEngine:
 
         # One incremental session for every base case, one persistent context
         # for every inductive step.
-        base_session = BmcSession(
-            self.ts, property_name, backend=self.backend, opt_level=self.pipeline
-        )
-        step_ctx = SolverContext(backend=self.backend, opt_level=self.pipeline)
+        base_session = BmcSession(self.ts, property_name, opt_level=self.pipeline)
+        step_ctx = SolverContext(opt_level=self.pipeline)
         frames = [self._initial_frame(step_ts)]
         for constraint in step_ts.constraints:
             step_ctx.add(substitute(constraint, frames[0]))

@@ -75,7 +75,6 @@ class _BaseFlow:
         config: ProcessorConfig,
         fifo_depth: int = 2,
         compare_memory: bool = True,
-        backend: str = "cdcl",
         jobs: int = 1,
         opt_level: Optional[int] = None,
         lint: Optional[str] = None,
@@ -84,7 +83,6 @@ class _BaseFlow:
         self.config = config
         self.fifo_depth = fifo_depth
         self.compare_memory = compare_memory
-        self.backend = backend
         self.jobs = jobs
         self.opt_level = opt_level
         #: Pre-solve lint gate mode ("error"/"warn"/"off"); ``None`` defers
@@ -126,9 +124,7 @@ class _BaseFlow:
         start = time.perf_counter()
         model = self._gate_model(self.build_model(bug))
         # lint="off": the gate above already covered this exact system.
-        engine = BmcEngine(
-            model.ts, backend=self.backend, opt_level=self._opt(), lint="off"
-        )
+        engine = BmcEngine(model.ts, opt_level=self._opt(), lint="off")
         result = engine.check(
             model.property_name, bound=bound, conflict_budget=conflict_budget
         )
@@ -188,7 +184,6 @@ class _BaseFlow:
         if engine == "pdr":
             pdr = PdrEngine(
                 model.ts,
-                backend=self.backend,
                 opt_level=self._opt(),
                 max_frames=max_frames,
             ).prove(
@@ -206,9 +201,7 @@ class _BaseFlow:
                 pdr_result=pdr,
                 model=model,
             )
-        kind = KInductionEngine(
-            model.ts, backend=self.backend, opt_level=self._opt()
-        ).prove(model.property_name, max_k=max_k, conflict_budget=conflict_budget)
+        kind = KInductionEngine(model.ts, opt_level=self._opt()).prove(model.property_name, max_k=max_k, conflict_budget=conflict_budget)
         return ProofOutcome(
             method=self.method,
             bug_name=bug_name,
@@ -275,7 +268,6 @@ class SepeSqedFlow(_BaseFlow):
         fifo_depth: int = 2,
         compare_memory: bool = True,
         num_temps: Optional[int] = None,
-        backend: str = "cdcl",
         jobs: int = 1,
         opt_level: Optional[int] = None,
         lint: Optional[str] = None,
@@ -285,7 +277,6 @@ class SepeSqedFlow(_BaseFlow):
             config,
             fifo_depth=fifo_depth,
             compare_memory=compare_memory,
-            backend=backend,
             jobs=jobs,
             opt_level=opt_level,
             lint=lint,

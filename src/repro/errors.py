@@ -20,7 +20,7 @@ class SmtError(ReproError):
 
 
 class SolveError(ReproError):
-    """Misuse of the persistent solver context or an unavailable backend."""
+    """Misuse of the persistent solver context or an invalid SAT kernel setting."""
 
 
 class IsaError(ReproError):

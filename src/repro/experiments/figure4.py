@@ -42,9 +42,6 @@ class Figure4Config:
     #: Abstract-interpretation knob for every flow (``None`` = process
     #: default, see ``$REPRO_ABSINT``).
     absint: Optional[bool] = None
-    #: Solver backend spec (``"arena"``/``"reference"`` pin a CDCL kernel,
-    #: see :mod:`repro.solve.backend`).
-    backend: str = "cdcl"
 
 
 @dataclass
@@ -123,14 +120,12 @@ def run_figure4(config: Figure4Config | None = None) -> Figure4Result:
             proc_config,
             equivalents=equivalents,
             fifo_depth=config.fifo_depth,
-            backend=config.backend,
             opt_level=config.opt_level,
             absint=config.absint,
         )
         sqed = SqedFlow(
             proc_config,
             fifo_depth=config.fifo_depth,
-            backend=config.backend,
             opt_level=config.opt_level,
             absint=config.absint,
         )
@@ -160,22 +155,12 @@ def main() -> None:  # pragma: no cover - CLI entry point
         default=None,
         help="abstract-interpretation layer (default: $REPRO_ABSINT or 1)",
     )
-    parser.add_argument(
-        "--sat-backend",
-        choices=("cdcl", "arena", "reference"),
-        default="cdcl",
-        help=(
-            "SAT backend spec: 'cdcl' follows $REPRO_SAT_BACKEND (default "
-            "arena); 'arena'/'reference' pin one CDCL kernel"
-        ),
-    )
     args = parser.parse_args()
 
     config = Figure4Config(
         bug_names=list(QUICK_BUGS),
         opt_level=args.opt_level,
         absint=None if args.absint is None else bool(args.absint),
-        backend=args.sat_backend,
     )
     if args.full:
         config.bug_names = None

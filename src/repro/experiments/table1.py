@@ -54,10 +54,6 @@ class Table1Config:
     #: Abstract-interpretation knob for every flow (``None`` = process
     #: default, see ``$REPRO_ABSINT``).
     absint: Optional[bool] = None
-    #: Solver backend spec for every flow in the experiment — ``"cdcl"``
-    #: follows ``$REPRO_SAT_BACKEND``; ``"arena"`` / ``"reference"`` pin a
-    #: kernel (see :mod:`repro.solve.backend`).
-    backend: str = "cdcl"
     #: Engine for the SQED column: ``"bmc"`` (the paper's bounded check, the
     #: default) or an unbounded prover (``"kinduction"`` / ``"pdr"``) that
     #: upgrades the dash to a *proof* that SQED cannot detect the bug at any
@@ -140,14 +136,12 @@ def run_table1(config: Table1Config | None = None) -> Table1Result:
             proc_config,
             equivalents=equivalents,
             fifo_depth=config.fifo_depth,
-            backend=config.backend,
             opt_level=config.opt_level,
             absint=config.absint,
         )
         sqed = SqedFlow(
             proc_config,
             fifo_depth=config.fifo_depth,
-            backend=config.backend,
             opt_level=config.opt_level,
             absint=config.absint,
         )
@@ -226,15 +220,6 @@ def main() -> None:  # pragma: no cover - CLI entry point
             "into a proof of non-detection"
         ),
     )
-    parser.add_argument(
-        "--sat-backend",
-        choices=("cdcl", "arena", "reference"),
-        default="cdcl",
-        help=(
-            "SAT backend spec: 'cdcl' follows $REPRO_SAT_BACKEND (default "
-            "arena); 'arena'/'reference' pin one CDCL kernel"
-        ),
-    )
     args = parser.parse_args()
 
     config = Table1Config(
@@ -243,7 +228,6 @@ def main() -> None:  # pragma: no cover - CLI entry point
         opt_level=args.opt_level,
         absint=None if args.absint is None else bool(args.absint),
         engine=args.engine,
-        backend=args.sat_backend,
     )
     if args.full:
         config.bug_names = None

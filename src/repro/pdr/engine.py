@@ -273,7 +273,6 @@ class PdrEngine:
     def __init__(
         self,
         ts: TransitionSystem,
-        backend: str = "cdcl",
         opt_level: "PipelineConfig | int | None" = None,
         max_frames: int = 100,
         generalize: bool = True,
@@ -284,7 +283,6 @@ class PdrEngine:
         if max_frames < 1:
             raise PdrError(f"max_frames must be >= 1, got {max_frames}")
         self.ts = ts
-        self.backend = backend
         self.pipeline = PipelineConfig.resolve(opt_level)
         self.max_frames = max_frames
         self.generalize = generalize
@@ -308,7 +306,6 @@ class PdrEngine:
         run = _PdrRun(
             self.ts,
             property_name,
-            backend=self.backend,
             pipeline=self.pipeline,
             max_frames=max_frames if max_frames is not None else self.max_frames,
             generalize=self.generalize,
@@ -327,7 +324,6 @@ class _PdrRun:
         self,
         ts: TransitionSystem,
         property_name: str,
-        backend: str,
         pipeline: PipelineConfig,
         max_frames: int,
         generalize: bool,
@@ -408,25 +404,25 @@ class _PdrRun:
 
         # Consecution context: one transition relation, frames as
         # activation-guarded clauses, queried backwards from every frame.
-        self._cons = SolverContext(backend=backend, opt_level=pipeline)
+        self._cons = SolverContext(opt_level=pipeline)
         for term in constraints_curr:
             self._cons.add(term)
         for term in constraints_next:
             self._cons.add(term)
         # Bad-state context: no transition, permanently asserts ¬P.
-        self._bad = SolverContext(backend=backend, opt_level=pipeline)
+        self._bad = SolverContext(opt_level=pipeline)
         for term in constraints_curr:
             self._bad.add(term)
         self._bad.add(self._not_prop_curr)
         # Initiation context: Init plus the step constraints.
-        self._init = SolverContext(backend=backend, opt_level=pipeline)
+        self._init = SolverContext(opt_level=pipeline)
         for term in constraints_curr:
             self._init.add(term)
         self._init.add(self._init_term)
         # Lifting context for bad states: asserts P, so a bad state's cube
         # literals are jointly UNSAT and the core names the bits that
         # already force the violation.
-        self._safe = SolverContext(backend=backend, opt_level=pipeline)
+        self._safe = SolverContext(opt_level=pipeline)
         for term in constraints_curr:
             self._safe.add(term)
         self._safe.add(self._prop_curr)
@@ -583,10 +579,8 @@ class _PdrRun:
                 lits.append(self._input_lit(name, bit, bool((value >> bit) & 1)))
         return lits
 
-    def _lift_cube(self, cube: Cube, core: Optional[list[BV]]) -> Cube:
+    def _lift_cube(self, cube: Cube, core: list[BV]) -> Cube:
         """Keep only the cube literals named by a failed-assumption core."""
-        if core is None:
-            return cube
         core_ids = {term.tid for term in core}
         lifted = tuple(
             lit for lit in cube if self._lit_curr(lit).tid in core_ids
@@ -851,7 +845,7 @@ class _PdrRun:
             self.stats.literals_dropped_mic += count
 
     def _core_shrink(
-        self, lits: list[CubeLit], core: Optional[list[BV]], bucket: str = "core"
+        self, lits: list[CubeLit], core: list[BV], bucket: str = "core"
     ) -> list[CubeLit]:
         """Drop every literal whose primed assumption the core did not need.
 
@@ -863,8 +857,6 @@ class _PdrRun:
         ``bucket`` attributes the removals to the stats counter of the
         pass that produced the core (``core``/``mic``/``ctg``).
         """
-        if core is None:
-            return lits
         core_ids = {term.tid for term in core}
         kept = [lit for lit in lits if self._lit_next(lit).tid in core_ids]
         dropped = [lit for lit in lits if self._lit_next(lit).tid not in core_ids]
@@ -881,7 +873,7 @@ class _PdrRun:
         return kept
 
     def _generalize(
-        self, cube: Cube, frame: int, core: Optional[list[BV]], depth: int = 0
+        self, cube: Cube, frame: int, core: list[BV], depth: int = 0
     ) -> Cube:
         """Shrink a refuted cube while keeping it refuted and Init-disjoint.
 
@@ -1028,9 +1020,7 @@ class _PdrRun:
                 result = self._relative_induction(cube, level + 1, need_model=False)
                 if result.satisfiable is False:
                     self._frames[level].remove(cube)
-                    if result.core is not None and not any(
-                        term.tid in self._act_tids for term in result.core
-                    ):
+                    if not any(term.tid in self._act_tids for term in result.core):
                         self._add_inf(cube)
                     else:
                         self._add_blocked(cube, level + 1)

@@ -1,24 +1,20 @@
-"""Persistent incremental solving shared by BMC, k-induction, CEGIS and QED.
+"""Persistent incremental solving shared by BMC, k-induction, PDR, CEGIS and QED.
 
-The subsystem has two halves:
+The subsystem has three parts:
 
 * :mod:`repro.solve.context` — :class:`SolverContext`, a long-lived pairing
   of one bit-blaster and one SAT backend with assumption-scoped push/pop,
-* :mod:`repro.solve.backend` — the pluggable backend protocol plus the
-  builtin CDCL backend and a DIMACS subprocess backend.
+* :mod:`repro.solve.backend` — :class:`CdclBackend`, the builtin CDCL
+  backend; ``$REPRO_SAT_BACKEND`` picks its kernel (arena or reference),
+* :mod:`repro.solve.pipeline` — :class:`PipelineConfig`, the staged
+  term → AIG → CNF → preprocess compilation behind ``opt_level``.
 
-Every solver loop in the stack (``BVSolver``, ``BmcEngine``/``BmcSession``,
-``KInductionEngine``, ``CegisEngine``, ``qed.verify_equivalence``) runs on
-this API.
+Every solver loop in the stack (``BmcEngine``/``BmcSession``,
+``KInductionEngine``, ``PdrEngine``, ``CegisEngine``,
+``qed.verify_equivalence``) runs on this API.
 """
 
-from repro.solve.backend import (
-    CdclBackend,
-    DimacsBackend,
-    SatBackend,
-    create_backend,
-    dimacs_solver_available,
-)
+from repro.solve.backend import CdclBackend
 from repro.solve.context import BVResult, SolverContext
 from repro.solve.pipeline import (
     EncodingStats,
@@ -29,12 +25,8 @@ from repro.solve.pipeline import (
 __all__ = [
     "BVResult",
     "CdclBackend",
-    "DimacsBackend",
     "EncodingStats",
     "PipelineConfig",
-    "SatBackend",
     "SolverContext",
-    "create_backend",
     "default_opt_level",
-    "dimacs_solver_available",
 ]

@@ -17,32 +17,25 @@ need falls out of that single decision:
   scope by asserting the negated activation literal — learned clauses
   survive the pop.
 
-The SAT backend is pluggable (see :mod:`repro.solve.backend`): the builtin
-CDCL solver by default, or a DIMACS subprocess for external solvers.
-
-.. note::
-   The imports of the :mod:`repro.smt` modules are deferred to call time.
-   ``repro.smt.solver`` builds its ``BVSolver`` facade on this module, so a
-   module-level import in either direction would create a cycle through the
-   ``repro.smt`` package ``__init__``.
+The SAT backend is the builtin CDCL solver (:class:`~repro.solve.backend.CdclBackend`);
+``$REPRO_SAT_BACKEND`` picks its kernel.
 """
 
 from __future__ import annotations
 
 import time
-import weakref
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import Iterable, Optional
 
 from repro.errors import SmtError, SolveError
 from repro.sat.preprocess import Preprocessor
 from repro.sat.solver import SolverStats
-from repro.solve.backend import SatBackend, create_backend
+from repro.smt.bitblast import BitBlaster
+from repro.smt.evaluator import evaluate, free_variables
+from repro.smt.terms import BV
+from repro.solve.backend import CdclBackend
 from repro.solve.pipeline import EncodingStats, PipelineConfig
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.smt.bitblast import BitBlaster
-    from repro.smt.terms import BV
+from repro.utils.bitops import from_bits
 
 
 @dataclass
@@ -67,16 +60,14 @@ class BVResult:
     #: that — together with the asserted formulas and the open scopes —
     #: already makes the query unsatisfiable.  ``[]`` means the query is
     #: UNSAT without any of the passed assumptions; ``None`` on SAT/unknown
-    #: answers (or when the backend cannot report cores).
-    core: Optional[list["BV"]] = None
+    #: answers.
+    core: Optional[list[BV]] = None
 
     def __bool__(self) -> bool:
         return bool(self.satisfiable)
 
-    def value_of(self, term: "BV") -> int:
+    def value_of(self, term: BV) -> int:
         """Evaluate ``term`` under the model (unassigned variables read as 0)."""
-        from repro.smt.evaluator import evaluate, free_variables
-
         if not self.satisfiable:
             raise SmtError("no model available: formula not satisfiable")
         if not self.has_model:
@@ -90,37 +81,6 @@ class BVResult:
         return evaluate(term, assignment)
 
 
-#: Backend instances already bound to a context (weak so contexts can die).
-_CLAIMED_BACKENDS: "weakref.WeakSet" = weakref.WeakSet()
-
-_ALREADY_OWNED = (
-    "SAT backend instance is already owned by another SolverContext; "
-    "pass a spec string (e.g. 'cdcl') or a fresh backend instance"
-)
-
-
-def _claim_backend(backend: SatBackend) -> None:
-    """Bind ``backend`` to exactly one context, whatever its class shape."""
-    try:
-        if backend in _CLAIMED_BACKENDS:
-            raise SolveError(_ALREADY_OWNED)
-        _CLAIMED_BACKENDS.add(backend)
-        return
-    except TypeError:
-        pass  # not weak-referenceable; fall back to an instance attribute
-    if getattr(backend, "_solver_context_owned", False):
-        raise SolveError(_ALREADY_OWNED)
-    try:
-        backend._solver_context_owned = True  # type: ignore[attr-defined]
-    except AttributeError:
-        # Neither weak-referenceable nor attribute-assignable: refusing is
-        # safer than risking the silent clause/variable-space collision.
-        raise SolveError(
-            "cannot track ownership of this SAT backend instance "
-            "(__slots__ without __weakref__); pass a spec string instead"
-        )
-
-
 class _Scope:
     """One assumption-guarded assertion scope."""
 
@@ -128,28 +88,16 @@ class _Scope:
 
     def __init__(self, activation: int):
         self.activation = activation
-        self.terms: list["BV"] = []
+        self.terms: list[BV] = []
 
 
 class SolverContext:
     """Incremental QF_BV solving over one blaster and one SAT backend."""
 
-    def __init__(
-        self,
-        backend: "str | SatBackend" = "cdcl",
-        opt_level: "PipelineConfig | int | None" = None,
-    ):
-        from repro.smt.bitblast import BitBlaster
-
+    def __init__(self, opt_level: "PipelineConfig | int | None" = None):
         self.pipeline = PipelineConfig.resolve(opt_level)
         self._blaster = BitBlaster(pipeline=self.pipeline)
-        self._backend: SatBackend = create_backend(backend)
-        # A backend holds clauses numbered by this context's blaster, so a
-        # single instance must never serve two contexts: the second blaster
-        # restarts variable numbering and silently collides with the first
-        # context's clauses.  Spec strings always construct a fresh backend;
-        # instances are claimed on first use.
-        _claim_backend(self._backend)
+        self._backend = CdclBackend()
         # CNF preprocessing (opt_level >= 2) filters every synced batch; the
         # constant-true variable is frozen forever, named-variable bits and
         # activation literals are frozen as they appear.
@@ -161,9 +109,9 @@ class SolverContext:
         self._preprocess_seconds = 0.0
         self._blast_seconds = 0.0
         self._clauses_synced = 0
-        # Root-level assertions in insertion order (constants included, for
-        # facade parity with the historical BVSolver behaviour).
-        self._root_terms: list["BV"] = []
+        # Root-level assertions in insertion order (constants included, so
+        # ``assertions`` reports every asserted term).
+        self._root_terms: list[BV] = []
         self._root_failed = False
         self._scopes: list[_Scope] = []
         # term id -> frozenset of variable terms (cached once per assertion)
@@ -176,11 +124,11 @@ class SolverContext:
     # ------------------------------------------------------------- properties
 
     @property
-    def backend(self) -> SatBackend:
+    def backend(self) -> CdclBackend:
         return self._backend
 
     @property
-    def blaster(self) -> "BitBlaster":
+    def blaster(self) -> BitBlaster:
         return self._blaster
 
     @property
@@ -232,7 +180,7 @@ class SolverContext:
         return stats
 
     @property
-    def assertions(self) -> list["BV"]:
+    def assertions(self) -> list[BV]:
         """Root assertions plus the assertions of every open scope, in order."""
         terms = list(self._root_terms)
         for scope in self._scopes:
@@ -245,11 +193,9 @@ class SolverContext:
 
     # ---------------------------------------------------------------- helpers
 
-    def _vars_of(self, term: "BV") -> frozenset:
+    def _vars_of(self, term: BV) -> frozenset:
         cached = self._term_vars.get(term.tid)
         if cached is None:
-            from repro.smt.evaluator import free_variables
-
             cached = frozenset(free_variables(term))
             self._term_vars[term.tid] = cached
         return cached
@@ -311,7 +257,7 @@ class SolverContext:
 
     # ------------------------------------------------------------- assertions
 
-    def add(self, term: "BV") -> None:
+    def add(self, term: BV) -> None:
         """Assert a width-1 term (scoped to the innermost open scope, if any)."""
         if term.width != 1:
             raise SmtError(f"assertions must have width 1, got {term.width}")
@@ -335,13 +281,13 @@ class SolverContext:
         else:
             self._blaster.cnf.add_clause([-scope.activation, literal])
 
-    def add_all(self, terms: Iterable["BV"]) -> None:
+    def add_all(self, terms: Iterable[BV]) -> None:
         for term in terms:
             self.add(term)
 
     def _blast_assumptions(
-        self, assumptions: Iterable["BV"]
-    ) -> tuple[list[int], list["BV"], Optional["BV"]]:
+        self, assumptions: Iterable[BV]
+    ) -> tuple[list[int], list[BV], Optional[BV]]:
         """Blast query-scoped assumptions to CNF literals.
 
         Returns ``(literals, non-const terms, const_false)`` where
@@ -351,7 +297,7 @@ class SolverContext:
         :meth:`check` and :meth:`encode` so the two paths cannot drift.
         """
         lits: list[int] = []
-        terms: list["BV"] = []
+        terms: list[BV] = []
         for term in assumptions:
             if term.width != 1:
                 raise SmtError(f"assumptions must have width 1, got {term.width}")
@@ -367,7 +313,7 @@ class SolverContext:
 
     # ----------------------------------------------------------------- encode
 
-    def encode(self, assumptions: Iterable["BV"] = ()) -> None:
+    def encode(self, assumptions: Iterable[BV] = ()) -> None:
         """Blast and sync the current assertions without querying the backend.
 
         Runs the full compilation pipeline — blasting (AIG lowering at
@@ -391,7 +337,7 @@ class SolverContext:
 
     def check(
         self,
-        assumptions: Iterable["BV"] = (),
+        assumptions: Iterable[BV] = (),
         conflict_budget: Optional[int] = None,
         full_model: bool = False,
         need_model: bool = True,
@@ -472,21 +418,18 @@ class SolverContext:
 
     @staticmethod
     def _lift_core(
-        backend_core: Optional[list[int]],
+        backend_core: list[int],
         assumption_lits: list[int],
-        assumption_terms: list["BV"],
-    ) -> Optional[list["BV"]]:
+        assumption_terms: list[BV],
+    ) -> list[BV]:
         """Map a backend literal core to the assumption terms it names.
 
         ``assumption_lits``/``assumption_terms`` are the aligned blast
         results of the caller's non-constant assumptions.  Scope activation
         literals in the backend core are internal and dropped; distinct
         terms sharing one blasted literal are all kept (the lifted set stays
-        a subset of the assumptions and still implies UNSAT).  ``None``
-        (backend without core support) is passed through.
+        a subset of the assumptions and still implies UNSAT).
         """
-        if backend_core is None:
-            return None
         failed = set(backend_core)
         return [
             term
@@ -495,10 +438,8 @@ class SolverContext:
         ]
 
     def _extract_model(
-        self, backend_model, assumption_terms: list["BV"], full_model: bool
+        self, backend_model, assumption_terms: list[BV], full_model: bool
     ) -> dict[str, int]:
-        from repro.utils.bitops import from_bits
-
         blaster = self._blaster
         model: dict[str, int] = {}
         if full_model:

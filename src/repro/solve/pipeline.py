@@ -1,7 +1,7 @@
 """Configuration of the staged term → AIG → CNF → preprocess compilation.
 
-Every solver entry point (``SolverContext``, ``BVSolver``, the BMC and
-k-induction engines, CEGIS, the flows and the experiment harnesses) accepts
+Every solver entry point (``SolverContext``, the BMC, k-induction and PDR
+engines, CEGIS, the flows and the experiment harnesses) accepts
 an ``opt_level`` that resolves to a :class:`PipelineConfig`:
 
 * ``opt_level=0`` — the naive reference path: direct Tseitin bit-blasting

@@ -84,13 +84,8 @@ class CegisOutcome:
 class CegisEngine:
     """Runs the two-phase CEGIS loop for a (spec, multiset) pair."""
 
-    def __init__(
-        self,
-        config: CegisConfig | None = None,
-        backend: str = "cdcl",
-    ):
+    def __init__(self, config: CegisConfig | None = None):
         self.config = config or CegisConfig()
-        self.backend = backend
 
     # ----------------------------------------------------------------- public
 
@@ -112,9 +107,9 @@ class CegisEngine:
         synth_ctx: Optional[SolverContext] = None
         verify_ctx: Optional[SolverContext] = None
         if incremental:
-            synth_ctx = SolverContext(backend=self.backend, opt_level=self.config.opt_level)
+            synth_ctx = SolverContext(opt_level=self.config.opt_level)
             synth_ctx.add_all(synth_terms)
-            verify_ctx = SolverContext(backend=self.backend, opt_level=self.config.opt_level)
+            verify_ctx = SolverContext(opt_level=self.config.opt_level)
         verify_inputs = spec.fresh_input_terms(prefix="verify")
         spec_term = spec.output_term(verify_inputs)
 
@@ -123,7 +118,7 @@ class CegisEngine:
             stats.iterations += 1
             stats.synthesis_queries += 1
             if not incremental:
-                synth_ctx = SolverContext(backend=self.backend, opt_level=self.config.opt_level)
+                synth_ctx = SolverContext(opt_level=self.config.opt_level)
                 synth_ctx.add_all(synth_terms)
             assert synth_ctx is not None
             result = synth_ctx.check(conflict_budget=self.config.conflict_budget)
@@ -133,7 +128,7 @@ class CegisEngine:
                 break
             candidate = encoder.decode(result)
             stats.verification_queries += 1
-            ctx = verify_ctx if incremental else SolverContext(backend=self.backend, opt_level=self.config.opt_level)
+            ctx = verify_ctx if incremental else SolverContext(opt_level=self.config.opt_level)
             counterexample = self._check_candidate(
                 ctx, verify_inputs, spec_term, candidate, stats
             )
@@ -178,7 +173,7 @@ class CegisEngine:
         input_terms = spec.fresh_input_terms(prefix="verify")
         spec_term = spec.output_term(input_terms)
         return self._check_candidate(
-            SolverContext(backend=self.backend, opt_level=self.config.opt_level),
+            SolverContext(opt_level=self.config.opt_level),
             input_terms,
             spec_term,
             program,

@@ -26,7 +26,7 @@ from typing import Sequence
 from repro.errors import SynthesisError
 from repro.isa.config import IsaConfig
 from repro.smt import terms as T
-from repro.smt.solver import BVResult
+from repro.solve.context import BVResult
 from repro.smt.terms import BV
 from repro.synth.components import Component
 from repro.synth.program import (

@@ -26,6 +26,8 @@ from typing import Optional
 from repro.errors import ZooError
 from repro.par import TaskPool
 from repro.proc.bugs import BugRecipe
+from repro.solve.backend import resolve_sat_kernel
+from repro.solve.pipeline import PipelineConfig
 from repro.zoo.families import FAMILIES, ZooInstance, instantiate, sample_recipe
 from repro.zoo.oracle import (
     OracleReport,
@@ -169,6 +171,30 @@ def summarize(
     }
 
 
+def campaign_record(config: CampaignConfig) -> dict:
+    """The campaign's configuration as it actually runs.
+
+    SAT kernel, opt level and absint are recorded resolved against the
+    process environment, so a campaign pinned by ``REPRO_SAT_BACKEND`` /
+    ``REPRO_OPT_LEVEL`` / ``REPRO_ABSINT`` is distinguishable from a
+    default one.
+    """
+    pipeline = PipelineConfig.resolve(config.settings.opt_level)
+    return {
+        "count": config.count,
+        "seed": config.seed,
+        "families": list(config.family_names()),
+        "jobs": config.jobs,
+        "engines": list(config.settings.engines),
+        "pdr_total_budget": config.settings.pdr_total_budget,
+        "bmc_conflict_budget": config.settings.bmc_conflict_budget,
+        "control_bound": config.settings.control_bound,
+        "sat_kernel": resolve_sat_kernel(None),
+        "opt_level": pipeline.opt_level,
+        "absint": pipeline.use_absint,
+    }
+
+
 def run_campaign(config: CampaignConfig) -> CampaignReport:
     """Run the whole campaign, fanning instances across ``config.jobs``
     forked workers (reports are plain dataclasses, so they pickle)."""
@@ -187,18 +213,7 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
         )
 
     return CampaignReport(
-        config={
-            "count": config.count,
-            "seed": config.seed,
-            "families": list(config.family_names()),
-            "jobs": config.jobs,
-            "engines": list(config.settings.engines),
-            "pdr_total_budget": config.settings.pdr_total_budget,
-            "bmc_conflict_budget": config.settings.bmc_conflict_budget,
-            "control_bound": config.settings.control_bound,
-            "backend": config.settings.backend,
-            "opt_level": config.settings.opt_level,
-        },
+        config=campaign_record(config),
         seeded=seeded,
         controls=controls,
         summary=summarize(seeded, controls),

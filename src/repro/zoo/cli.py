@@ -42,7 +42,6 @@ def _settings(args: argparse.Namespace) -> OracleSettings:
         engines=engines,
         bmc_conflict_budget=args.bmc_budget,
         pdr_total_budget=args.pdr_budget,
-        backend=args.backend,
         opt_level=args.opt_level,
     )
 
@@ -60,7 +59,6 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
         default=4_000,
         help="cumulative PDR effort budget; exhausted ⇒ inconclusive",
     )
-    parser.add_argument("--backend", default="cdcl")
     parser.add_argument("--opt-level", type=int, default=None)
 
 

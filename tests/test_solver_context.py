@@ -8,10 +8,6 @@ workloads that now share it.
 
 from __future__ import annotations
 
-import os
-import stat
-import sys
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,13 +15,7 @@ from repro.errors import SmtError, SolveError
 from repro.smt import terms as T
 from repro.smt.bitblast import BitBlaster
 from repro.smt.evaluator import evaluate, free_variables
-from repro.smt.solver import BVSolver, check_sat
-from repro.solve import (
-    CdclBackend,
-    DimacsBackend,
-    SolverContext,
-    create_backend,
-)
+from repro.solve import BVResult, SolverContext
 from repro.bmc.engine import BmcEngine, BmcSession
 from repro.bmc.kinduction import KInductionEngine
 from repro.synth.cegis import CegisConfig, CegisEngine
@@ -43,6 +33,13 @@ W = 5
 
 def _vars(prefix: str) -> tuple[T.BV, T.BV]:
     return T.bv_var(f"{prefix}_x", W), T.bv_var(f"{prefix}_y", W)
+
+
+def _check_fresh(terms) -> BVResult:
+    """Solve ``terms`` on a fresh context (the one-shot baseline)."""
+    ctx = SolverContext()
+    ctx.add_all(terms)
+    return ctx.check()
 
 
 def _counter_system(prefix: str, limit: int, buggy: bool = False) -> TransitionSystem:
@@ -300,7 +297,7 @@ class TestIncrementalVsOneshot:
             ctx.add(extra)
             incremental = ctx.check()
             ctx.pop()
-            oneshot = check_sat([base, extra])
+            oneshot = _check_fresh([base, extra])
             assert incremental.satisfiable == oneshot.satisfiable
             if incremental.satisfiable:
                 model = {
@@ -319,7 +316,7 @@ class TestIncrementalVsOneshot:
         for constant in constants:
             assumption = T.bv_eq(x, T.bv_const(constant, W))
             incremental = ctx.check(assumptions=[assumption])
-            oneshot = check_sat([base, assumption])
+            oneshot = _check_fresh([base, assumption])
             assert incremental.satisfiable == oneshot.satisfiable
 
 
@@ -432,124 +429,40 @@ class TestSharedEquivalenceChecking:
 
 
 class TestBackends:
-    def test_create_backend_specs(self):
-        assert isinstance(create_backend("cdcl"), CdclBackend)
-        backend = CdclBackend()
-        assert create_backend(backend) is backend
-        with pytest.raises(SolveError):
-            create_backend("unknown-backend")
-        with pytest.raises(SolveError):
-            create_backend("dimacs:")
-        with pytest.raises(SolveError):
-            create_backend("dimacs:definitely-not-a-solver-binary")
+    """``$REPRO_SAT_BACKEND`` is the one selector of the CDCL kernel."""
 
-    def test_backend_instance_cannot_serve_two_contexts(self):
-        # A backend holds clauses numbered by one blaster; sharing it with a
-        # second context would silently mix variable spaces.
-        backend = CdclBackend()
-        SolverContext(backend=backend)
-        with pytest.raises(SolveError):
-            SolverContext(backend=backend)
+    def test_env_selects_reference_kernel(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SAT_BACKEND", "reference")
+        assert SolverContext().backend.kernel == "reference"
 
-    @pytest.fixture()
-    def stub_solver(self, tmp_path, monkeypatch):
-        """A DIMACS 'solver' that answers with the builtin CDCL engine."""
-        script = tmp_path / "stub-sat-solver"
-        repo_src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        script.write_text(
-            "#!%s\n"
-            "import sys\n"
-            "sys.path.insert(0, %r)\n"
-            "from repro.sat.cnf import parse_dimacs\n"
-            "from repro.sat.solver import SatSolver\n"
-            "with open(sys.argv[1]) as fh:\n"
-            "    cnf = parse_dimacs(fh.read())\n"
-            "result = SatSolver(cnf).solve()\n"
-            "if result.satisfiable:\n"
-            "    print('s SATISFIABLE')\n"
-            "    lits = [v if val else -v for v, val in sorted(result.model.items())]\n"
-            "    print('v ' + ' '.join(map(str, lits)) + ' 0')\n"
-            "    sys.exit(10)\n"
-            "print('s UNSATISFIABLE')\n"
-            "sys.exit(20)\n" % (sys.executable, os.path.abspath(repo_src))
-        )
-        script.chmod(script.stat().st_mode | stat.S_IEXEC)
-        monkeypatch.setenv("PATH", str(tmp_path), prepend=os.pathsep)
-        return script.name
+    def test_arena_kernel_is_the_default(self, monkeypatch):
+        monkeypatch.delenv("REPRO_SAT_BACKEND", raising=False)
+        assert SolverContext().backend.kernel == "arena"
 
-    def test_dimacs_backend_roundtrip(self, stub_solver):
-        ctx = SolverContext(backend=f"dimacs:{stub_solver}")
-        x, y = _vars("dim")
-        ctx.add(T.bv_eq(T.bv_add(x, y), T.bv_const(9, W)))
-        result = ctx.check()
-        assert result.satisfiable
-        assert (result.model[x.name] + result.model[y.name]) & mask(W) == 9
-        ctx.push()
-        ctx.add(T.bv_eq(x, T.bv_const(1, W)))
-        scoped = ctx.check()
-        assert scoped.satisfiable and scoped.model[x.name] == 1
-        ctx.pop()
-        assert ctx.check(assumptions=[T.bv_ult(x, x)]).satisfiable is False
-
-    def test_dimacs_backend_agrees_with_cdcl(self, stub_solver):
-        backend_spec = f"dimacs:{stub_solver}"
-        x, y = _vars("dimeq")
-        constraints = [
-            [T.bv_ult(x, y), T.bv_ult(y, x)],
-            [T.bv_eq(T.bv_and(x, y), T.bv_const(3, W)), T.bv_ult(x, T.bv_const(4, W))],
-        ]
-        for terms in constraints:
-            external = SolverContext(backend=backend_spec)
-            external.add_all(terms)
-            builtin = SolverContext()
-            builtin.add_all(terms)
-            assert external.check().satisfiable == builtin.check().satisfiable
-
-    def test_dimacs_backend_cores(self, stub_solver):
-        # External solvers cannot minimise, but the core contract still
-        # holds: a subset of the assumptions (here: all of them), still
-        # UNSAT when re-checked, and empty exactly on root UNSAT.
-        ctx = SolverContext(backend=f"dimacs:{stub_solver}")
-        x, _ = _vars("dimcore")
-        ctx.add(T.bv_ult(x, T.bv_const(8, W)))
-        a1 = T.bv_eq(x, T.bv_const(9, W))
-        a2 = T.bv_eq(x, T.bv_const(3, W))
-        result = ctx.check(assumptions=[a1, a2])
-        assert result.satisfiable is False
-        assert result.core is not None and result.core
-        assert {t.tid for t in result.core} <= {a1.tid, a2.tid}
-        assert ctx.check(assumptions=result.core).satisfiable is False
-        # Root UNSAT: the clause set alone is contradictory -> empty core.
-        ctx.add(T.bv_eq(x, T.bv_const(1, W)))
-        ctx.add(T.bv_eq(x, T.bv_const(2, W)))
-        rooted = ctx.check(assumptions=[a2])
-        assert rooted.satisfiable is False
-        assert rooted.core == []
+    def test_bad_kernel_setting_is_rejected(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SAT_BACKEND", "minisat")
+        with pytest.raises(SolveError, match="REPRO_SAT_BACKEND"):
+            SolverContext()
 
 
 class TestFacade:
-    def test_bvsolver_reuses_one_context(self):
-        solver = BVSolver()
-        x, y = _vars("fac")
-        solver.add(T.bv_ult(x, y))
-        first = solver.check()
-        clauses_after_first = solver.context.num_clauses
-        second = solver.check()
-        assert first.satisfiable and second.satisfiable
-        # No re-blasting: the clause count is unchanged between checks.
-        assert solver.context.num_clauses == clauses_after_first
+    """The assert / check / model surface callers use directly."""
 
     def test_free_variable_cache_covers_model(self):
-        solver = BVSolver()
+        solver = SolverContext()
         x, y = _vars("cache")
         solver.add(T.bv_eq(x, T.bv_const(3, W)))
         solver.add(T.bv_eq(y, T.bv_const(4, W)))
         result = solver.check()
         assert result.model == {x.name: 3, y.name: 4}
         assert result.value_of(T.bv_add(x, y)) == 7
+        # A repeated check re-uses the blasted encoding: no new clauses.
+        clauses = solver.num_clauses
+        assert solver.check().model == result.model
+        assert solver.num_clauses == clauses
 
     def test_result_stats_are_per_query(self):
-        solver = BVSolver()
+        solver = SolverContext()
         x, y = _vars("pq")
         solver.add(T.bv_eq(T.bv_mul(x, y), T.bv_const(12, W)))
         first = solver.check(assumptions=[T.bv_ult(x, y)])

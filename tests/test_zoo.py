@@ -39,7 +39,7 @@ from repro.zoo import (
     save_recipes,
     shrink_recipe,
 )
-from repro.zoo.campaign import summarize
+from repro.zoo.campaign import campaign_record, summarize
 from repro.zoo.cli import main as zoo_main
 from repro.zoo.oracle import (
     STATUS_CLEAN,
@@ -235,17 +235,16 @@ class TestOracleSample:
         assert report.concretized is True
         assert report.cex_length is not None and report.cex_length >= 4
 
-    @pytest.mark.parametrize("backend", ["arena", "reference"])
+    @pytest.mark.parametrize("kernel", ["arena", "reference"])
     @pytest.mark.parametrize("opt_level", [0, 2])
     def test_verdict_invariant_across_kernels_and_opt_levels(
-        self, backend, opt_level
+        self, kernel, opt_level, monkeypatch
     ):
         # The oracle's answer is a property of the design, not of the SAT
         # kernel or the encoding pipeline: both kernels at both ends of
         # the optimisation range must agree, cex length included.
-        settings = OracleSettings(
-            engines=("bmc",), backend=backend, opt_level=opt_level
-        )
+        monkeypatch.setenv("REPRO_SAT_BACKEND", kernel)
+        settings = OracleSettings(engines=("bmc",), opt_level=opt_level)
         report = run_instance(
             instantiate(sample_recipe("alu_op_swap", seed=1)), settings
         )
@@ -342,6 +341,7 @@ class TestCampaign:
             run_controls=False,
         )
         report = run_campaign(config)
+        assert report.config == campaign_record(config)
         assert report.passed
         assert report.summary["instances"] == 4
         assert report.summary["detected"] == 4
@@ -349,6 +349,26 @@ class TestCampaign:
         # The JSON form must be self-contained and serialisable.
         blob = json.dumps(report.to_dict())
         assert json.loads(blob)["summary"]["passed"] is True
+
+    def test_record_resolves_kernel_and_pipeline(self, monkeypatch):
+        # The record names what ran: the env-pinned kernel and opt level,
+        # not the unresolved defaults of the settings object.
+        config = CampaignConfig(count=1, settings=_BMC_ONLY)
+        monkeypatch.setenv("REPRO_SAT_BACKEND", "reference")
+        monkeypatch.setenv("REPRO_OPT_LEVEL", "0")
+        record = campaign_record(config)
+        assert record["sat_kernel"] == "reference"
+        assert record["opt_level"] == 0
+        assert record["absint"] is False  # absint never applies at level 0
+        monkeypatch.delenv("REPRO_SAT_BACKEND")
+        monkeypatch.delenv("REPRO_OPT_LEVEL")
+        monkeypatch.delenv("REPRO_ABSINT", raising=False)
+        record = campaign_record(config)
+        assert (record["sat_kernel"], record["opt_level"], record["absint"]) == (
+            "arena",
+            2,
+            True,
+        )
 
     def test_campaign_rejects_bad_config(self):
         with pytest.raises(ZooError):
