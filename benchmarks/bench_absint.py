@@ -34,13 +34,13 @@ import json
 import sys
 import time
 
+from _pin import pinned_env
 from repro.absint import analyze, latch_facts, validate_by_simulation
 from repro.bmc.engine import BmcSession
 from repro.errors import AbsintError, ReproError
 from repro.lint.cli import _gallery, _zoo_targets
 from repro.pdr.engine import PdrEngine
 from repro.pdr.invariant import check_invariant
-from repro.solve.pipeline import PipelineConfig
 
 #: Designs whose property PDR should prove (the clean gallery) — these are
 #: the runs eligible for the seeded-lemma gate.
@@ -51,11 +51,9 @@ PDR_PROVABLE = {
 }
 
 
-def _configs() -> dict[bool, PipelineConfig]:
-    return {
-        absint: PipelineConfig(opt_level=2, absint=absint)
-        for absint in (False, True)
-    }
+def _pinned(absint: bool):
+    """Opt level 2 with the absint layer on or off, through the env."""
+    return pinned_env(REPRO_OPT_LEVEL="2", REPRO_ABSINT=str(int(absint)))
 
 
 def _analyze_target(name: str, ts, sim_runs: int) -> dict:
@@ -88,12 +86,13 @@ def _analyze_target(name: str, ts, sim_runs: int) -> dict:
 
 def _bmc_differential(ts, prop: str, verdict_bound: int, size_bound: int) -> dict:
     entry: dict = {"property": prop, "by_absint": {}}
-    for absint, config in _configs().items():
-        session = BmcSession(ts, prop, opt_level=config)
-        start = time.perf_counter()
-        result = session.extend_to(verdict_bound)
-        solve_seconds = time.perf_counter() - start
-        sizes = BmcSession(ts, prop, opt_level=config).encode_to(size_bound)
+    for absint in (False, True):
+        with _pinned(absint):
+            session = BmcSession(ts, prop)
+            start = time.perf_counter()
+            result = session.extend_to(verdict_bound)
+            solve_seconds = time.perf_counter() - start
+            sizes = BmcSession(ts, prop).encode_to(size_bound)
         entry["by_absint"][str(int(absint))] = {
             "holds": result.holds,
             "cex_length": result.counterexample_length,
@@ -112,7 +111,8 @@ def _bmc_differential(ts, prop: str, verdict_bound: int, size_bound: int) -> dic
 
 
 def _pdr_run(name: str, ts, prop: str) -> dict:
-    engine = PdrEngine(ts, opt_level=PipelineConfig(opt_level=2, absint=True))
+    with _pinned(True):
+        engine = PdrEngine(ts)
     start = time.perf_counter()
     result = engine.prove(prop)
     seconds = time.perf_counter() - start

@@ -37,6 +37,7 @@ import json
 import sys
 import time
 
+from _pin import pinned_env
 from repro.bmc.engine import BmcSession
 from repro.core.flow import SqedFlow
 from repro.isa.config import IsaConfig
@@ -57,8 +58,10 @@ BUG = "multi_no_forward_ex_rs1"
 def _build_session(bug, opt_level: int) -> BmcSession:
     isa = IsaConfig.small(xlen=XLEN, num_regs=NUM_REGS)
     config = ProcessorConfig(isa=isa, supported_ops=POOL)
-    model = SqedFlow(config, opt_level=opt_level).build_model(bug)
-    return BmcSession(model.ts, model.property_name, opt_level=opt_level)
+    model = SqedFlow(config).build_model(bug)
+    # The session resolves its pipeline once, at construction.
+    with pinned_env(REPRO_OPT_LEVEL=str(opt_level)):
+        return BmcSession(model.ts, model.property_name)
 
 
 def _encoding_sizes(bug, size_bound: int, opt_level: int) -> dict:
@@ -79,8 +82,6 @@ def _encoding_sizes(bug, size_bound: int, opt_level: int) -> dict:
         "units_found": encoding.units_found,
         "coi_states_dropped": encoding.coi_states_dropped,
         "coi_state_bits_dropped": encoding.coi_state_bits_dropped,
-        "blast_seconds": round(encoding.blast_seconds, 3),
-        "preprocess_seconds": round(encoding.preprocess_seconds, 3),
     }
 
 

@@ -180,8 +180,6 @@ class BmcSession:
         ts: TransitionSystem,
         property_name: str,
         start_frame: int = 0,
-        context: Optional[SolverContext] = None,
-        opt_level: "PipelineConfig | int | None" = None,
         lint: Optional[str] = None,
     ):
         # Pre-solve lint gate (``lint`` = "error"/"warn"/"off"; None defers
@@ -197,15 +195,7 @@ class BmcSession:
         self.ts = ts
         self.property_name = property_name
         self.start_frame = start_frame
-        if context is not None and opt_level is not None:
-            raise BmcError(
-                "pass either an opt_level or an explicit context, not both: "
-                "a supplied context already carries its pipeline config"
-            )
-        if context is not None:
-            self.pipeline = context.pipeline
-        else:
-            self.pipeline = PipelineConfig.resolve(opt_level)
+        self.pipeline = PipelineConfig.resolve(None)
         # Cone-of-influence reduction: unroll (and therefore encode) only
         # the state and logic the checked property can observe.
         reduced_ts, self.reduction = prepare_property_system(
@@ -219,13 +209,9 @@ class BmcSession:
         if self.fold is not None:
             reduced_ts = self.fold.ts
         self.unroller = Unroller(reduced_ts)
-        self.context = (
-            context
-            if context is not None
-            else SolverContext(opt_level=self.pipeline)
-        )
-        # Solver work is accumulated per extend_to call, so queries a shared
-        # context serves before or between calls are never attributed to
+        self.context = SolverContext(opt_level=self.pipeline)
+        # Solver work is accumulated per extend_to call, so queries made on
+        # ``self.context`` directly between calls are never attributed to
         # this session.
         self._session_solver_stats = SolverStats()
         self.stats = BmcStats()
@@ -406,13 +392,11 @@ class BmcEngine:
         self,
         ts: TransitionSystem,
         start_frame: int = 0,
-        opt_level: "PipelineConfig | int | None" = None,
         lint: Optional[str] = None,
     ):
         ts.validate()
         self.ts = ts
         self.start_frame = start_frame
-        self.opt_level = opt_level
         self.lint = lint
 
     def session(self, property_name: str) -> BmcSession:
@@ -421,7 +405,6 @@ class BmcEngine:
             self.ts,
             property_name,
             start_frame=self.start_frame,
-            opt_level=self.opt_level,
             lint=self.lint,
         )
 

@@ -49,14 +49,10 @@ class KInductionResult:
 class KInductionEngine:
     """Prove safety properties by k-induction."""
 
-    def __init__(
-        self,
-        ts: TransitionSystem,
-        opt_level: "PipelineConfig | int | None" = None,
-    ):
+    def __init__(self, ts: TransitionSystem):
         ts.validate()
         self.ts = ts
-        self.pipeline = PipelineConfig.resolve(opt_level)
+        self.pipeline = PipelineConfig.resolve(None)
 
     @staticmethod
     def _initial_frame(ts: TransitionSystem) -> dict:
@@ -101,7 +97,7 @@ class KInductionEngine:
 
         # One incremental session for every base case, one persistent context
         # for every inductive step.
-        base_session = BmcSession(self.ts, property_name, opt_level=self.pipeline)
+        base_session = BmcSession(self.ts, property_name)
         step_ctx = SolverContext(opt_level=self.pipeline)
         frames = [self._initial_frame(step_ts)]
         for constraint in step_ts.constraints:

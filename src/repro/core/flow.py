@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from typing import Iterable, Mapping, Optional
 
@@ -11,7 +10,6 @@ from repro.bmc.kinduction import KInductionEngine
 from repro.core.results import ProofOutcome, VerificationOutcome
 from repro.errors import VerificationError
 from repro.pdr.engine import PdrEngine
-from repro.solve.pipeline import PipelineConfig
 from repro.isa.instructions import get_instruction
 from repro.proc.bugs import Bug
 from repro.proc.config import ProcessorConfig
@@ -66,6 +64,9 @@ class _BaseFlow:
     ``jobs`` is the default worker count of :meth:`run_many`, which
     distributes independent bug variants across worker processes.  A
     single :meth:`run` is always one sequential incremental BMC run.
+    The engines take their pipeline from the process environment
+    (``$REPRO_OPT_LEVEL``, ``$REPRO_ABSINT``, ``$REPRO_PDR_CTG``), which
+    the forked workers of :meth:`run_many` inherit.
     """
 
     method = "base"
@@ -76,28 +77,15 @@ class _BaseFlow:
         fifo_depth: int = 2,
         compare_memory: bool = True,
         jobs: int = 1,
-        opt_level: Optional[int] = None,
         lint: Optional[str] = None,
-        absint: Optional[bool] = None,
     ):
         self.config = config
         self.fifo_depth = fifo_depth
         self.compare_memory = compare_memory
         self.jobs = jobs
-        self.opt_level = opt_level
         #: Pre-solve lint gate mode ("error"/"warn"/"off"); ``None`` defers
         #: to ``$REPRO_LINT_GATE`` (default off).
         self.lint = lint
-        #: Abstract-interpretation knob (fold/strengthen/seed); ``None``
-        #: defers to ``$REPRO_ABSINT`` (default on at opt_level >= 1).
-        self.absint = absint
-
-    def _opt(self) -> PipelineConfig:
-        """The engines' pipeline config: opt_level plus the absint override."""
-        cfg = PipelineConfig.resolve(self.opt_level)
-        if self.absint is not None and self.absint != cfg.absint:
-            cfg = dataclasses.replace(cfg, absint=self.absint)
-        return cfg
 
     def build_model(self, bug: Optional[Bug] = None) -> QedVerificationModel:
         raise NotImplementedError
@@ -124,7 +112,7 @@ class _BaseFlow:
         start = time.perf_counter()
         model = self._gate_model(self.build_model(bug))
         # lint="off": the gate above already covered this exact system.
-        engine = BmcEngine(model.ts, opt_level=self._opt(), lint="off")
+        engine = BmcEngine(model.ts, lint="off")
         result = engine.check(
             model.property_name, bound=bound, conflict_budget=conflict_budget
         )
@@ -182,11 +170,7 @@ class _BaseFlow:
         model = self._gate_model(self.build_model(bug))
         bug_name = None if bug is None else bug.name
         if engine == "pdr":
-            pdr = PdrEngine(
-                model.ts,
-                opt_level=self._opt(),
-                max_frames=max_frames,
-            ).prove(
+            pdr = PdrEngine(model.ts, max_frames=max_frames).prove(
                 model.property_name,
                 conflict_budget=conflict_budget,
                 total_conflict_budget=total_conflict_budget,
@@ -201,7 +185,9 @@ class _BaseFlow:
                 pdr_result=pdr,
                 model=model,
             )
-        kind = KInductionEngine(model.ts, opt_level=self._opt()).prove(model.property_name, max_k=max_k, conflict_budget=conflict_budget)
+        kind = KInductionEngine(model.ts).prove(
+            model.property_name, max_k=max_k, conflict_budget=conflict_budget
+        )
         return ProofOutcome(
             method=self.method,
             bug_name=bug_name,
@@ -269,18 +255,14 @@ class SepeSqedFlow(_BaseFlow):
         compare_memory: bool = True,
         num_temps: Optional[int] = None,
         jobs: int = 1,
-        opt_level: Optional[int] = None,
         lint: Optional[str] = None,
-        absint: Optional[bool] = None,
     ):
         super().__init__(
             config,
             fifo_depth=fifo_depth,
             compare_memory=compare_memory,
             jobs=jobs,
-            opt_level=opt_level,
             lint=lint,
-            absint=absint,
         )
         self.num_temps = num_temps
         if equivalents is None:

@@ -46,9 +46,6 @@ class Figure3Config:
     #: Cases synthesized concurrently (each case runs both algorithms in its
     #: worker).  ``0`` means one per CPU.
     jobs: int = 1
-    #: Compilation-pipeline level for every CEGIS solver context
-    #: (``None`` = process default, see :mod:`repro.solve.pipeline`).
-    opt_level: Optional[int] = None
 
 
 @dataclass
@@ -152,9 +149,7 @@ def run_figure3(config: Figure3Config | None = None) -> Figure3Result:
     config = config or Figure3Config()
     isa = IsaConfig.small(xlen=config.xlen, num_regs=config.num_regs)
     library = build_default_library(isa)
-    cegis_cfg = CegisConfig(
-        max_iterations=config.max_cegis_iterations, opt_level=config.opt_level
-    )
+    cegis_cfg = CegisConfig(max_iterations=config.max_cegis_iterations)
 
     def build_engines() -> tuple[HpfCegis, IterativeCegis]:
         hpf = HpfCegis(
@@ -213,20 +208,9 @@ def main() -> None:  # pragma: no cover - CLI entry point
     parser.add_argument(
         "--jobs", type=int, default=1, help="cases synthesized concurrently (0 = one per CPU)"
     )
-    parser.add_argument(
-        "--opt-level",
-        type=int,
-        choices=(0, 1, 2),
-        default=None,
-        help="compilation pipeline level (default: $REPRO_OPT_LEVEL or 2)",
-    )
     args = parser.parse_args()
 
-    config = Figure3Config(
-        max_multisets=args.max_multisets,
-        jobs=args.jobs,
-        opt_level=args.opt_level,
-    )
+    config = Figure3Config(max_multisets=args.max_multisets, jobs=args.jobs)
     if args.full:
         config.cases = list(ALL_CASES)
     if args.cases:

@@ -36,12 +36,6 @@ class Figure4Config:
     num_regs: int = 8
     bound: int = 10
     fifo_depth: int = 2
-    #: Compilation-pipeline level for every solver in the experiment
-    #: (``None`` = process default, see :mod:`repro.solve.pipeline`).
-    opt_level: Optional[int] = None
-    #: Abstract-interpretation knob for every flow (``None`` = process
-    #: default, see ``$REPRO_ABSINT``).
-    absint: Optional[bool] = None
 
 
 @dataclass
@@ -120,15 +114,8 @@ def run_figure4(config: Figure4Config | None = None) -> Figure4Result:
             proc_config,
             equivalents=equivalents,
             fifo_depth=config.fifo_depth,
-            opt_level=config.opt_level,
-            absint=config.absint,
         )
-        sqed = SqedFlow(
-            proc_config,
-            fifo_depth=config.fifo_depth,
-            opt_level=config.opt_level,
-            absint=config.absint,
-        )
+        sqed = SqedFlow(proc_config, fifo_depth=config.fifo_depth)
         sepe_outcome = sepe.run(bug, bound=config.bound)
         sqed_outcome = sqed.run(bug, bound=config.bound)
         result.rows.append(Figure4Row(bug=bug, sepe=sepe_outcome, sqed=sqed_outcome))
@@ -141,27 +128,9 @@ def main() -> None:  # pragma: no cover - CLI entry point
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--full", action="store_true", help="run every Figure 4 bug")
     parser.add_argument("--bugs", nargs="*", default=None)
-    parser.add_argument(
-        "--opt-level",
-        type=int,
-        choices=(0, 1, 2),
-        default=None,
-        help="compilation pipeline level (default: $REPRO_OPT_LEVEL or 2)",
-    )
-    parser.add_argument(
-        "--absint",
-        type=int,
-        choices=(0, 1),
-        default=None,
-        help="abstract-interpretation layer (default: $REPRO_ABSINT or 1)",
-    )
     args = parser.parse_args()
 
-    config = Figure4Config(
-        bug_names=list(QUICK_BUGS),
-        opt_level=args.opt_level,
-        absint=None if args.absint is None else bool(args.absint),
-    )
+    config = Figure4Config(bug_names=list(QUICK_BUGS))
     if args.full:
         config.bug_names = None
     if args.bugs:

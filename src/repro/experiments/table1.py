@@ -48,12 +48,6 @@ class Table1Config:
     #: Rows (bugs) verified concurrently; each row is an independent pair of
     #: flows, so the table shards perfectly.  ``0`` means one per CPU.
     jobs: int = 1
-    #: Compilation-pipeline level for every solver in the experiment
-    #: (``None`` = process default, see :mod:`repro.solve.pipeline`).
-    opt_level: Optional[int] = None
-    #: Abstract-interpretation knob for every flow (``None`` = process
-    #: default, see ``$REPRO_ABSINT``).
-    absint: Optional[bool] = None
     #: Engine for the SQED column: ``"bmc"`` (the paper's bounded check, the
     #: default) or an unbounded prover (``"kinduction"`` / ``"pdr"``) that
     #: upgrades the dash to a *proof* that SQED cannot detect the bug at any
@@ -136,15 +130,8 @@ def run_table1(config: Table1Config | None = None) -> Table1Result:
             proc_config,
             equivalents=equivalents,
             fifo_depth=config.fifo_depth,
-            opt_level=config.opt_level,
-            absint=config.absint,
         )
-        sqed = SqedFlow(
-            proc_config,
-            fifo_depth=config.fifo_depth,
-            opt_level=config.opt_level,
-            absint=config.absint,
-        )
+        sqed = SqedFlow(proc_config, fifo_depth=config.fifo_depth)
         sepe_outcome = sepe.run(bug, bound=config.sepe_bound)
         if config.engine == "bmc":
             sqed_outcome = sqed.run(
@@ -197,20 +184,6 @@ def main() -> None:  # pragma: no cover - CLI entry point
         "--jobs", type=int, default=1, help="rows verified concurrently (0 = one per CPU)"
     )
     parser.add_argument(
-        "--opt-level",
-        type=int,
-        choices=(0, 1, 2),
-        default=None,
-        help="compilation pipeline level (default: $REPRO_OPT_LEVEL or 2)",
-    )
-    parser.add_argument(
-        "--absint",
-        type=int,
-        choices=(0, 1),
-        default=None,
-        help="abstract-interpretation layer (default: $REPRO_ABSINT or 1)",
-    )
-    parser.add_argument(
         "--engine",
         choices=("bmc", "kinduction", "pdr"),
         default="bmc",
@@ -225,8 +198,6 @@ def main() -> None:  # pragma: no cover - CLI entry point
     config = Table1Config(
         bug_names=list(QUICK_BUGS),
         jobs=args.jobs,
-        opt_level=args.opt_level,
-        absint=None if args.absint is None else bool(args.absint),
         engine=args.engine,
     )
     if args.full:

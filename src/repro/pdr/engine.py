@@ -96,15 +96,6 @@ def default_ctg_depth() -> int:
     return value
 
 
-def resolve_ctg_depth(ctg_depth: Optional[int]) -> int:
-    """Normalise a ``ctg_depth`` argument (``None`` = process default)."""
-    if ctg_depth is None:
-        return default_ctg_depth()
-    if ctg_depth < 0:
-        raise PdrError(f"ctg_depth must be >= 0, got {ctg_depth}")
-    return int(ctg_depth)
-
-
 def cube_clause_term(ts: TransitionSystem, cube: Cube) -> BV:
     """The blocked cube's clause ``¬cube`` over ``ts``'s state symbols.
 
@@ -245,18 +236,20 @@ class PdrEngine:
     ``max_frames`` bounds the number of frames explored before giving up
     (``proven=None``); ``generalize=False`` disables the extra literal-
     dropping pass after the core-driven drop (the core drop itself is free
-    and always on).  ``ctg_depth`` bounds the recursion of CTG-aware
-    generalisation: when a MIC drop trial fails, the counterexample-to-
-    generalisation is itself blocked at the preceding frame (up to
-    ``_MAX_CTGS`` attempts per trial, recursing up to ``ctg_depth``) before
-    the literal is abandoned.  Depth 0 is the plain MIC fallback; ``None``
-    resolves through the ``REPRO_PDR_CTG`` environment variable (default
-    1).  ``conflict_budget`` caps each individual SAT query;
-    ``total_conflict_budget`` caps the *cumulative* effort of the whole run
-    (each query charges its conflicts plus one, so propagation-only query
-    storms count too) — the knob campaign drivers use to bound a run whose
-    individual queries are all cheap but whose obligation count is not (the
-    QED processor models produce exactly that shape).  Exhausting either
+    and always on).  The CTG depth (``$REPRO_PDR_CTG``, default 1, read
+    once at construction into ``ctg_depth``) bounds the recursion of
+    CTG-aware generalisation: when a MIC drop trial fails, the
+    counterexample-to-generalisation is itself blocked at the preceding
+    frame (up to ``_MAX_CTGS`` attempts per trial, recursing up to
+    ``ctg_depth``) before the literal is abandoned.  Depth 0 is the plain
+    MIC fallback.  The compilation pipeline is likewise resolved once at
+    construction (:meth:`PipelineConfig.resolve`).  ``conflict_budget``
+    caps each individual SAT query; ``total_conflict_budget`` caps the
+    *cumulative* effort of the whole run (each query charges its conflicts
+    plus one, so propagation-only query storms count too) — the knob
+    campaign drivers use to bound a run whose individual queries are all
+    cheap but whose obligation count is not (the QED processor models
+    produce exactly that shape).  Exhausting either
     budget aborts the run with ``proven=None``.
 
     ``seed_lemmas`` supplies candidate cubes whose negated clauses are
@@ -273,20 +266,18 @@ class PdrEngine:
     def __init__(
         self,
         ts: TransitionSystem,
-        opt_level: "PipelineConfig | int | None" = None,
         max_frames: int = 100,
         generalize: bool = True,
-        ctg_depth: Optional[int] = None,
         seed_lemmas: Optional[Iterable[Cube]] = None,
     ):
         ts.validate()
         if max_frames < 1:
             raise PdrError(f"max_frames must be >= 1, got {max_frames}")
         self.ts = ts
-        self.pipeline = PipelineConfig.resolve(opt_level)
+        self.pipeline = PipelineConfig.resolve(None)
         self.max_frames = max_frames
         self.generalize = generalize
-        self.ctg_depth = resolve_ctg_depth(ctg_depth)
+        self.ctg_depth = default_ctg_depth()
         self.seed_lemmas = None if seed_lemmas is None else list(seed_lemmas)
 
     def prove(

@@ -58,10 +58,9 @@ def verify_equivalence(
 def verify_equivalences(
     programs: Mapping[str, SynthesizedProgram],
     context: Optional[SolverContext] = None,
-    opt_level: Optional[int] = None,
 ) -> dict[str, bool]:
     """Check a whole table of equivalent programs on one shared context."""
-    ctx = context if context is not None else SolverContext(opt_level=opt_level)
+    ctx = context if context is not None else SolverContext()
     return {name: verify_equivalence(program, ctx) for name, program in programs.items()}
 
 

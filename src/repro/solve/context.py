@@ -23,7 +23,6 @@ The SAT backend is the builtin CDCL solver (:class:`~repro.solve.backend.CdclBac
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -106,8 +105,6 @@ class SolverContext:
             self._pre = Preprocessor()
             self._pre.freeze(self._blaster._const_var)
         self._backend_clauses = 0
-        self._preprocess_seconds = 0.0
-        self._blast_seconds = 0.0
         self._clauses_synced = 0
         # Root-level assertions in insertion order (constants included, so
         # ``assertions`` reports every asserted term).
@@ -159,8 +156,6 @@ class SolverContext:
         stats.cnf_vars = self.num_vars
         stats.cnf_clauses_pre = len(self._blaster.cnf.clauses)
         stats.cnf_clauses_post = self._backend_clauses
-        stats.preprocess_seconds = self._preprocess_seconds
-        stats.blast_seconds = self._blast_seconds
         aig = self._blaster.aig
         if aig is not None:
             aig_stats = aig.stats()
@@ -214,14 +209,12 @@ class SolverContext:
         if self._clauses_synced == len(clauses):
             self._backend.reserve(cnf.num_vars)
             return
-        start = time.perf_counter()
         # Bits of named variables that reached the CNF must survive
         # preprocessing untouched: model extraction reads them directly.
         self._pre.freeze_all(self._blaster.drain_protected_vars())
         batch = clauses[self._clauses_synced :]
         self._clauses_synced = len(clauses)
         emitted = self._pre.flush(batch)
-        self._preprocess_seconds += time.perf_counter() - start
         self._backend.reserve(cnf.num_vars)
         for clause in emitted:
             self._backend.add_clause(clause)
@@ -273,9 +266,7 @@ class SolverContext:
                 else:
                     self._blaster.cnf.add_clause([-scope.activation])
             return
-        blast_start = time.perf_counter()
         literal = self._blaster.assumption_literal(term)
-        self._blast_seconds += time.perf_counter() - blast_start
         if scope is None:
             self._blaster.cnf.add_clause([literal])
         else:
@@ -305,9 +296,7 @@ class SolverContext:
                 if term.const_value() == 0:
                     return lits, terms, term
                 continue
-            blast_start = time.perf_counter()
             lits.append(self._blaster.assumption_literal(term))
-            self._blast_seconds += time.perf_counter() - blast_start
             terms.append(term)
         return lits, terms, None
 

@@ -1,8 +1,6 @@
 """Configuration of the staged term → AIG → CNF → preprocess compilation.
 
-Every solver entry point (``SolverContext``, the BMC, k-induction and PDR
-engines, CEGIS, the flows and the experiment harnesses) accepts
-an ``opt_level`` that resolves to a :class:`PipelineConfig`:
+An ``opt_level`` resolves to a :class:`PipelineConfig`:
 
 * ``opt_level=0`` — the naive reference path: direct Tseitin bit-blasting
   with only local gate caching, no cone-of-influence reduction, no CNF
@@ -15,15 +13,22 @@ an ``opt_level`` that resolves to a :class:`PipelineConfig`:
   preprocessor (:mod:`repro.sat.preprocess`) before clauses reach the SAT
   backend.  This is the default.
 
-The process-wide default comes from the ``REPRO_OPT_LEVEL`` environment
-variable, so a whole test run or benchmark sweep can be pinned to the naive
-path without touching call sites.
-
 Orthogonally, ``absint`` (default on, ``REPRO_ABSINT=0`` to disable)
 enables the abstract-interpretation layer from :mod:`repro.absint`:
 pre-encoding constant-latch/bit folding in BMC, k-induction step
 strengthening and PDR frame-∞ lemma seeding.  It only takes effect at
 ``opt_level >= 1`` — level 0 stays the untouched reference encoder.
+
+Each knob has one selector, its environment variable, read by
+:func:`default_opt_level` / :func:`default_absint` through
+``PipelineConfig.resolve(None)``.  The BMC, k-induction and PDR engines
+resolve it once at construction; CEGIS, the flows, the zoo and the
+experiment harnesses only build engines and contexts, and ``TaskPool``'s
+forked workers inherit the environment.  So a whole test run or benchmark
+sweep is pinned without touching call sites.  The one per-call level is
+``SolverContext(opt_level=...)``: the engines hand it their resolved
+config, and the independent re-checks (``check_invariant``,
+``verify_equivalence``) pass ``0`` to run on the reference encoder.
 """
 
 from __future__ import annotations
@@ -152,8 +157,6 @@ class EncodingStats:
     coi_state_bits_dropped: int = 0
     absint_states_folded: int = 0
     absint_bits_folded: int = 0
-    blast_seconds: float = 0.0
-    preprocess_seconds: float = 0.0
 
     def copy(self) -> "EncodingStats":
         return dataclasses.replace(self)

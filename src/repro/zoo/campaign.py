@@ -179,7 +179,7 @@ def campaign_record(config: CampaignConfig) -> dict:
     ``REPRO_OPT_LEVEL`` / ``REPRO_ABSINT`` is distinguishable from a
     default one.
     """
-    pipeline = PipelineConfig.resolve(config.settings.opt_level)
+    pipeline = PipelineConfig.resolve(None)
     return {
         "count": config.count,
         "seed": config.seed,

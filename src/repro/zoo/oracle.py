@@ -71,7 +71,6 @@ class OracleSettings:
     #: surface at small bounds too, and the PDR/k-induction control legs
     #: cover depths beyond it.
     control_bound: int = 7
-    opt_level: Optional[int] = None
 
 
 @dataclass
@@ -256,12 +255,13 @@ def _pdr_chain_check(model: QedVerificationModel, chain) -> Optional[str]:
 
 
 def make_flow(instance: ZooInstance, settings: OracleSettings) -> _BaseFlow:
+    """The flow that evaluates ``instance``.
+
+    ``settings`` only budgets the runs made on the flow; the engines' pipeline
+    comes from the process environment (see :mod:`repro.solve.pipeline`).
+    """
     cls = SepeSqedFlow if instance.flow_kind == FLOW_SEPE else SqedFlow
-    return cls(
-        instance.config,
-        fifo_depth=instance.fifo_depth,
-        opt_level=settings.opt_level,
-    )
+    return cls(instance.config, fifo_depth=instance.fifo_depth)
 
 
 def _charge_run(report: OracleReport, outcome) -> None:

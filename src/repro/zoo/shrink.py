@@ -13,7 +13,7 @@ re-running PDR per step would dominate the cost for no extra information.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.proc.bugs import BugRecipe
@@ -39,12 +39,7 @@ class ShrinkResult:
 
 
 def _bmc_only(settings: Optional[OracleSettings]) -> OracleSettings:
-    base = settings or OracleSettings()
-    return OracleSettings(
-        engines=("bmc",),
-        bmc_conflict_budget=base.bmc_conflict_budget,
-        opt_level=base.opt_level,
-    )
+    return replace(settings or OracleSettings(), engines=("bmc",))
 
 
 def _signature(report: OracleReport) -> tuple:

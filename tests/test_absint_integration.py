@@ -4,9 +4,9 @@ The layer must be a pure accelerator: with ``absint`` on, BMC folds
 proven-constant latch bits out of the encoding, k-induction strengthens
 its step frames and PDR seeds frame-∞ lemmas — but every verdict, bound
 and counterexample frame must be identical to the ``absint=0`` run.
-These tests pin that contract with explicit :class:`PipelineConfig`
-objects (never by monkeypatching ``REPRO_ABSINT``), so they hold no
-matter which leg of the CI matrix they run on.
+These tests pin both ``REPRO_OPT_LEVEL`` and ``REPRO_ABSINT`` for every
+cell they check (the ``pin_pipeline`` fixture), so they hold no matter
+which leg of the CI matrix they run on.
 """
 
 from __future__ import annotations
@@ -19,15 +19,10 @@ from repro.bmc.kinduction import KInductionEngine
 from repro.lint.cli import _gallery, _zoo_targets
 from repro.pdr.engine import PdrEngine
 from repro.pdr.invariant import check_invariant
-from repro.solve.pipeline import PipelineConfig
 from repro.ts.coi import reduce_to_property_cone
 
-#: One config per (opt level, absint) cell of the differential matrix.
-MATRIX = [
-    PipelineConfig(opt_level=level, absint=absint)
-    for level in (0, 1, 2)
-    for absint in (False, True)
-]
+#: One (opt level, absint) cell per run of the differential matrix.
+MATRIX = [(level, absint) for level in (0, 1, 2) for absint in (False, True)]
 
 
 def _differential_targets():
@@ -42,11 +37,12 @@ class TestBmcDifferential:
         _differential_targets(),
         ids=lambda v: v if isinstance(v, str) else "",
     )
-    def test_verdicts_identical_across_matrix(self, name, ts):
+    def test_verdicts_identical_across_matrix(self, name, ts, pin_pipeline):
         for prop in ts.properties:
             outcomes = []
-            for config in MATRIX:
-                session = BmcSession(ts, prop, opt_level=config)
+            for level, absint in MATRIX:
+                config = pin_pipeline(level, absint)
+                session = BmcSession(ts, prop)
                 result = session.extend_to(7)
                 outcomes.append(
                     (config, result.holds, result.counterexample_length)
@@ -58,32 +54,32 @@ class TestBmcDifferential:
                     f"absint={config.absint} diverged: {outcome} != {baseline}"
                 )
 
-    def test_fold_shrinks_saturating_counter_encoding(self):
+    def test_fold_shrinks_saturating_counter_encoding(self, pin_pipeline):
         ts = _gallery()["saturating_counter"]()
         sizes = {}
         for absint in (False, True):
-            config = PipelineConfig(opt_level=2, absint=absint)
-            session = BmcSession(ts, "bounded", opt_level=config)
+            pin_pipeline(2, absint)
+            session = BmcSession(ts, "bounded")
             sizes[absint] = session.encode_to(10).cnf_clauses_post
         # Bit 3 of the counter folds away, so the on-encoding is strictly
         # smaller — and the matrix test above already pinned the verdict.
         assert sizes[True] < sizes[False]
 
-    def test_fold_is_off_at_level_zero(self):
+    def test_fold_is_off_at_level_zero(self, pin_pipeline):
         ts = _gallery()["saturating_counter"]()
-        config = PipelineConfig(opt_level=0, absint=True)
-        session = BmcSession(ts, "bounded", opt_level=config)
+        config = pin_pipeline(0, absint=True)
+        session = BmcSession(ts, "bounded")
         assert session.fold is None
         assert not config.use_absint
 
-    def test_folded_counterexample_replays_concretely(self):
+    def test_folded_counterexample_replays_concretely(self, pin_pipeline):
         # The buggy counter refutes; the trace from the folded encoding
         # must still drive the *original* system into the violation.
         from repro.smt.evaluator import evaluate
 
         ts = _gallery()["saturating_counter_buggy"]()
-        config = PipelineConfig(opt_level=2, absint=True)
-        result = BmcSession(ts, "bounded", opt_level=config).extend_to(10)
+        pin_pipeline(2, absint=True)
+        result = BmcSession(ts, "bounded").extend_to(10)
         assert result.holds is False
         trace = result.trace
         assert trace is not None
@@ -94,12 +90,15 @@ class TestBmcDifferential:
 
 
 class TestPdrSeeding:
-    def _cfg(self, absint=True):
-        return PipelineConfig(opt_level=2, absint=absint)
+    @pytest.fixture(autouse=True)
+    def _pin(self, pin_pipeline):
+        """Opt 2 with absint on unless a test re-pins it."""
+        self.pin = pin_pipeline
+        pin_pipeline(2, absint=True)
 
     def test_auto_seed_admitted_and_proof_checks(self):
         ts = _gallery()["saturating_counter"]()
-        engine = PdrEngine(ts, opt_level=self._cfg())
+        engine = PdrEngine(ts)
         result = engine.prove("bounded")
         assert result.proven is True
         assert result.stats.seed_lemmas_admitted >= 1
@@ -108,7 +107,8 @@ class TestPdrSeeding:
 
     def test_absint_off_admits_nothing(self):
         ts = _gallery()["saturating_counter"]()
-        engine = PdrEngine(ts, opt_level=self._cfg(absint=False))
+        self.pin(2, absint=False)
+        engine = PdrEngine(ts)
         result = engine.prove("bounded")
         assert result.proven is True
         assert result.stats.seed_lemmas_admitted == 0
@@ -116,7 +116,7 @@ class TestPdrSeeding:
 
     def test_empty_iterable_disables_seeding(self):
         ts = _gallery()["saturating_counter"]()
-        engine = PdrEngine(ts, opt_level=self._cfg(), seed_lemmas=())
+        engine = PdrEngine(ts, seed_lemmas=())
         result = engine.prove("bounded")
         assert result.proven is True
         assert result.stats.seed_lemmas_admitted == 0
@@ -126,7 +126,7 @@ class TestPdrSeeding:
         # The consecution filter must reject it and the verdict must hold.
         ts = _gallery()["saturating_counter"]()
         bad = (("d_count", 0, True),)
-        engine = PdrEngine(ts, opt_level=self._cfg(), seed_lemmas=[bad])
+        engine = PdrEngine(ts, seed_lemmas=[bad])
         result = engine.prove("bounded")
         assert result.proven is True
         assert result.stats.seed_lemmas_admitted == 0
@@ -140,9 +140,7 @@ class TestPdrSeeding:
         good = pdr_seed_cubes(reduced, analyze(reduced))
         assert good  # bit 3 stuck at 0
         bad = (("d_count", 1, True),)
-        engine = PdrEngine(
-            ts, opt_level=self._cfg(), seed_lemmas=[*good, bad]
-        )
+        engine = PdrEngine(ts, seed_lemmas=[*good, bad])
         result = engine.prove("bounded")
         assert result.proven is True
         assert result.stats.seed_lemmas_admitted == len(good)
@@ -156,7 +154,7 @@ class TestPdrSeeding:
             (),  # empty cube
             (("d_count", 3, 1),),  # non-bool polarity
         ]
-        engine = PdrEngine(ts, opt_level=self._cfg(), seed_lemmas=seeds)
+        engine = PdrEngine(ts, seed_lemmas=seeds)
         result = engine.prove("bounded")
         assert result.proven is True
         assert result.stats.seed_lemmas_admitted == 0
@@ -165,7 +163,8 @@ class TestPdrSeeding:
     def test_buggy_design_still_refutes_with_seeding(self):
         ts = _gallery()["saturating_counter_buggy"]()
         for absint in (False, True):
-            engine = PdrEngine(ts, opt_level=self._cfg(absint))
+            self.pin(2, absint)
+            engine = PdrEngine(ts)
             result = engine.prove("bounded")
             assert result.proven is False, f"absint={absint}"
             assert result.cex_chain
@@ -180,9 +179,8 @@ class TestPdrSeeding:
             ts = _gallery()[name]()
             verdicts = set()
             for absint in (False, True):
-                result = PdrEngine(ts, opt_level=self._cfg(absint)).prove(
-                    "consistent"
-                )
+                self.pin(2, absint)
+                result = PdrEngine(ts).prove("consistent")
                 verdicts.add(result.proven)
             assert verdicts == {expected}, name
 
@@ -191,24 +189,22 @@ class TestKInductionStrengthening:
     @pytest.mark.parametrize(
         "name", ["saturating_counter", "lockstep_accumulators"]
     )
-    def test_on_off_agree_on_clean_designs(self, name):
+    def test_on_off_agree_on_clean_designs(self, name, pin_pipeline):
         ts = _gallery()[name]()
         prop = next(iter(ts.properties))
         outcomes = {}
         for absint in (False, True):
-            config = PipelineConfig(opt_level=2, absint=absint)
-            result = KInductionEngine(ts, opt_level=config).prove(prop, max_k=6)
+            pin_pipeline(2, absint)
+            result = KInductionEngine(ts).prove(prop, max_k=6)
             outcomes[absint] = (result.proven, result.k)
         assert outcomes[False] == outcomes[True]
         assert outcomes[True][0] is True
 
-    def test_on_off_agree_on_buggy_design(self):
+    def test_on_off_agree_on_buggy_design(self, pin_pipeline):
         ts = _gallery()["saturating_counter_buggy"]()
         for absint in (False, True):
-            config = PipelineConfig(opt_level=2, absint=absint)
-            result = KInductionEngine(ts, opt_level=config).prove(
-                "bounded", max_k=8
-            )
+            pin_pipeline(2, absint)
+            result = KInductionEngine(ts).prove("bounded", max_k=8)
             assert result.proven is False, f"absint={absint}"
             assert result.base_result is not None
             assert result.base_result.holds is False

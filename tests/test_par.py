@@ -113,3 +113,20 @@ class TestFlowJobs:
         assert [(o.bug_name, o.detected, o.counterexample_length) for o in parallel] == [
             (o.bug_name, o.detected, o.counterexample_length) for o in sequential
         ]
+
+    def test_env_pins_reach_forked_workers(self, tiny_flow, monkeypatch):
+        # Neither flows nor configs carry a pipeline level: a pin reaches a
+        # worker only by fork inheritance of the environment.
+        bugs = [get_bug("multi_no_forward_ex_rs1"), get_bug("multi_no_forward_ex_rs2")]
+        flow = SqedFlow(tiny_flow.config, jobs=2)
+
+        def encodings():
+            return [o.bmc_result.stats.encoding for o in flow.run_many(bugs, bound=7)]
+
+        monkeypatch.setenv("REPRO_OPT_LEVEL", "0")
+        assert [e.opt_level for e in encodings()] == [0, 0]
+        monkeypatch.setenv("REPRO_OPT_LEVEL", "2")
+        monkeypatch.setenv("REPRO_ABSINT", "1")
+        assert all(e.opt_level == 2 and e.absint_bits_folded > 0 for e in encodings())
+        monkeypatch.setenv("REPRO_ABSINT", "0")
+        assert [e.absint_bits_folded for e in encodings()] == [0, 0]

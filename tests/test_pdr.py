@@ -81,12 +81,13 @@ class TestPdrProofs:
         assert result.proven is True
         assert check_invariant(ts, "consistent", result.invariant).valid
 
-    def test_invariant_rechecked_through_reference_encoding(self):
+    def test_invariant_rechecked_through_reference_encoding(self, pin_pipeline):
         # The acceptance check: the emitted invariant passes initiation,
         # consecution and safety through the opt_level=0 naive encoder,
         # independently of the (default, optimised) encoding that proved it.
         ts = _piped("pdr_ref")
-        result = PdrEngine(ts, opt_level=2).prove("consistent")
+        pin_pipeline(2)
+        result = PdrEngine(ts).prove("consistent")
         assert result.proven is True
         check = check_invariant(ts, "consistent", result.invariant, opt_level=0)
         assert check.valid
@@ -214,27 +215,29 @@ class TestPdrLimits:
 class TestConflictQualityStack:
     """CTG generalisation, F_inf pushing and subsumption semantics."""
 
-    def test_ctg_depth_zero_plain_mic_still_proves(self):
+    def test_ctg_depth_zero_plain_mic_still_proves(self, monkeypatch):
         # The fallback path (the CI leg pins REPRO_PDR_CTG=0): plain MIC
         # with no CTG blocking must keep proving and keep its invariants
         # independently re-checkable.
+        monkeypatch.setenv("REPRO_PDR_CTG", "0")
         for factory, prop, expected in [
             (lambda: _counter("pdr_ctg0_c", 5), "bounded", True),
             (lambda: _piped("pdr_ctg0_p"), "consistent", True),
             (lambda: _piped("pdr_ctg0_b", buggy=True), "consistent", False),
         ]:
             ts = factory()
-            result = PdrEngine(ts, ctg_depth=0).prove(prop)
+            result = PdrEngine(ts).prove(prop)
             assert result.proven is expected
             if expected:
                 assert check_invariant(ts, prop, result.invariant).valid
             assert result.stats.ctgs_blocked == 0
             assert result.stats.literals_dropped_ctg == 0
 
-    def test_ctg_depths_agree_and_certify(self):
+    def test_ctg_depths_agree_and_certify(self, monkeypatch):
         for depth in (1, 2):
+            monkeypatch.setenv("REPRO_PDR_CTG", str(depth))
             ts = _piped(f"pdr_ctgd{depth}")
-            result = PdrEngine(ts, ctg_depth=depth).prove("consistent")
+            result = PdrEngine(ts).prove("consistent")
             assert result.proven is True
             assert check_invariant(ts, "consistent", result.invariant).valid
 
@@ -243,8 +246,6 @@ class TestConflictQualityStack:
 
         monkeypatch.setenv("REPRO_PDR_CTG", "3")
         assert PdrEngine(_counter("pdr_env", 5)).ctg_depth == 3
-        # An explicit argument always beats the environment.
-        assert PdrEngine(_counter("pdr_env2", 5), ctg_depth=0).ctg_depth == 0
         monkeypatch.setenv("REPRO_PDR_CTG", "")
         assert default_ctg_depth() == 1
         monkeypatch.setenv("REPRO_PDR_CTG", "-1")
@@ -253,10 +254,6 @@ class TestConflictQualityStack:
         monkeypatch.setenv("REPRO_PDR_CTG", "many")
         with pytest.raises(PdrError, match="REPRO_PDR_CTG"):
             default_ctg_depth()
-
-    def test_negative_ctg_depth_rejected(self):
-        with pytest.raises(PdrError, match="ctg_depth"):
-            PdrEngine(_counter("pdr_negctg", 5), ctg_depth=-1)
 
     def test_drop_attribution_sums_to_total(self):
         result = PdrEngine(_piped("pdr_attrib")).prove("consistent")

@@ -280,12 +280,11 @@ class TestConeOfInfluence:
             f"coi_con_junk{i}" for i in range(4)
         ]
 
-    def test_bmc_verdicts_and_frames_match_across_levels(self):
+    def test_bmc_verdicts_and_frames_match_across_levels(self, pin_pipeline):
         results = {}
         for opt in OPT_LEVELS:
-            engine = BmcEngine(
-                _counter_with_junk(f"coi_bmc{opt}", 4, buggy=True), opt_level=opt
-            )
+            pin_pipeline(opt)
+            engine = BmcEngine(_counter_with_junk(f"coi_bmc{opt}", 4, buggy=True))
             results[opt] = engine.check("bounded", bound=10)
         assert all(r.holds is False for r in results.values())
         frames = {opt: r.bound for opt, r in results.items()}
@@ -293,10 +292,11 @@ class TestConeOfInfluence:
         assert len(set(frames.values())) == 1, frames
         assert len(set(lengths.values())) == 1, lengths
 
-    def test_reduced_trace_reconstructs_dropped_signals(self):
-        result = BmcEngine(
-            _counter_with_junk("coi_tr", 4, buggy=True), opt_level=2
-        ).check("bounded", bound=10)
+    def test_reduced_trace_reconstructs_dropped_signals(self, pin_pipeline):
+        pin_pipeline(2)
+        result = BmcEngine(_counter_with_junk("coi_tr", 4, buggy=True)).check(
+            "bounded", bound=10
+        )
         assert result.holds is False
         step0 = result.trace.steps[0]
         # Every state appears, including the dropped ones...
@@ -310,17 +310,19 @@ class TestConeOfInfluence:
         for step in result.trace.steps[2:]:
             assert step.states["coi_tr_junk1"] == 1
 
-    def test_holds_verdict_matches_across_levels(self):
+    def test_holds_verdict_matches_across_levels(self, pin_pipeline):
         for opt in OPT_LEVELS:
+            pin_pipeline(opt)
             result = BmcEngine(
-                _counter_with_junk(f"coi_ok{opt}", 5, buggy=False), opt_level=opt
+                _counter_with_junk(f"coi_ok{opt}", 5, buggy=False)
             ).check("bounded", bound=8)
             assert result.holds is True, opt
 
-    def test_encoding_stats_surface_reduction(self):
-        result = BmcEngine(
-            _counter_with_junk("coi_st", 4, buggy=True), opt_level=2
-        ).check("bounded", bound=6)
+    def test_encoding_stats_surface_reduction(self, pin_pipeline):
+        pin_pipeline(2)
+        result = BmcEngine(_counter_with_junk("coi_st", 4, buggy=True)).check(
+            "bounded", bound=6
+        )
         encoding = result.stats.encoding
         assert encoding.opt_level == 2
         assert encoding.coi_states_dropped == 4
@@ -332,35 +334,39 @@ class TestConeOfInfluence:
         # resolvents already fed to the backend.  The clause-count *win* is
         # asserted on a workload large enough to be meaningful below.
 
-    def test_opt2_encodes_fewer_clauses_than_opt0(self):
+    def test_opt2_encodes_fewer_clauses_than_opt0(self, pin_pipeline):
         sizes = {}
         for opt in (0, 2):
+            pin_pipeline(opt)
             result = BmcEngine(
-                _counter_with_junk(f"coi_sz{opt}", 4, buggy=False), opt_level=opt
+                _counter_with_junk(f"coi_sz{opt}", 4, buggy=False)
             ).check("bounded", bound=8)
             sizes[opt] = result.stats.encoding.cnf_clauses_post
         assert sizes[2] < sizes[0], sizes
 
 
 class TestKInductionAcrossLevels:
-    def test_proof_and_refutation_match(self):
+    def test_proof_and_refutation_match(self, pin_pipeline):
         for opt in OPT_LEVELS:
+            pin_pipeline(opt)
             ts = TransitionSystem(name=f"kind_pipe{opt}")
             flag = ts.add_state(f"kind_pipe{opt}_flag", 1, init=0)
             ts.set_next(flag, flag)
             junk = ts.add_state(f"kind_pipe{opt}_junk", 8, init=0)
             ts.set_next(junk, T.bv_add(junk, T.bv_const(3, 8)))
             ts.add_property("never_set", T.bv_eq(flag, T.bv_false()))
-            proof = KInductionEngine(ts, opt_level=opt).prove("never_set", max_k=2)
+            proof = KInductionEngine(ts).prove("never_set", max_k=2)
             assert proof.proven is True, opt
             refute = KInductionEngine(
-                _counter_with_junk(f"kind_bug{opt}", 4, buggy=True), opt_level=opt
+                _counter_with_junk(f"kind_bug{opt}", 4, buggy=True)
             ).prove("bounded", max_k=8)
             assert refute.proven is False, opt
 
 
 class TestCegisAcrossLevels:
-    def test_synthesis_agrees_with_naive_pipeline(self, small_isa, small_library):
+    def test_synthesis_agrees_with_naive_pipeline(
+        self, small_isa, small_library, pin_pipeline
+    ):
         from repro.qed.equivalents import verify_equivalence
         from repro.synth.cegis import CegisConfig, CegisEngine
         from repro.synth.spec import spec_from_instruction
@@ -368,8 +374,7 @@ class TestCegisAcrossLevels:
         spec = spec_from_instruction("XOR", small_isa)
         components = [small_library.by_name(name) for name in ("OR", "AND", "SUB")]
         for opt in OPT_LEVELS:
-            outcome = CegisEngine(CegisConfig(opt_level=opt)).synthesize(
-                spec, components
-            )
+            pin_pipeline(opt)
+            outcome = CegisEngine(CegisConfig()).synthesize(spec, components)
             assert outcome.succeeded, opt
             assert verify_equivalence(outcome.program, opt_level=opt), opt

@@ -395,17 +395,11 @@ class TestCegisIncremental:
         names = ["OR", "AND", "SUB"]
         return spec, [small_library.by_name(name) for name in names]
 
-    def test_incremental_and_oneshot_agree(self, spec_and_components):
+    def test_incremental_synthesis_verifies(self, spec_and_components):
         spec, components = spec_and_components
-        incremental = CegisEngine(CegisConfig(incremental=True)).synthesize(
-            spec, components
-        )
-        oneshot = CegisEngine(CegisConfig(incremental=False)).synthesize(
-            spec, components
-        )
-        assert incremental.succeeded and oneshot.succeeded
-        assert verify_equivalence(incremental.program)
-        assert verify_equivalence(oneshot.program)
+        outcome = CegisEngine(CegisConfig()).synthesize(spec, components)
+        assert outcome.succeeded
+        assert verify_equivalence(outcome.program)
 
     def test_solver_stats_per_phase(self, spec_and_components):
         spec, components = spec_and_components

@@ -9,7 +9,6 @@ from repro.bmc.kinduction import KInductionEngine
 from repro.btor import parse_btor2, write_btor2
 from repro.errors import BmcError, Btor2Error, TransitionSystemError
 from repro.smt import terms as T
-from repro.solve.pipeline import PipelineConfig
 from repro.ts.system import TransitionSystem
 from repro.ts.unroll import Unroller
 
@@ -127,7 +126,7 @@ class TestKInduction:
         result = KInductionEngine(ts).prove("bounded", max_k=4)
         assert result.proven is False
 
-    def test_max_k_exhaustion_keeps_base_result(self):
+    def test_max_k_exhaustion_keeps_base_result(self, pin_pipeline):
         # A property that holds but is not 1-inductive (x copies y with one
         # cycle of delay, so induction needs to look two steps back): the
         # inconclusive result must still report how far the base case got
@@ -141,28 +140,16 @@ class TestKInduction:
         # Pin the abstract-interpretation strengthening off: both latches
         # are sequentially constant, so with it on the property *is*
         # 1-inductive and the exhaustion path under test never runs.
-        plain = PipelineConfig(opt_level=2, absint=False)
-        result = KInductionEngine(ts, opt_level=plain).prove(
-            "x_never_set", max_k=1
-        )
+        pin_pipeline(2, absint=False)
+        result = KInductionEngine(ts).prove("x_never_set", max_k=1)
         assert result.proven is None
         assert result.base_result is not None
         assert result.base_result.holds is True
         # With one more step of lookback the same engine closes the proof.
-        assert (
-            KInductionEngine(ts, opt_level=plain)
-            .prove("x_never_set", max_k=2)
-            .proven
-            is True
-        )
+        assert KInductionEngine(ts).prove("x_never_set", max_k=2).proven is True
         # And with the strengthening on, one step of lookback suffices.
-        strengthened = PipelineConfig(opt_level=2, absint=True)
-        assert (
-            KInductionEngine(ts, opt_level=strengthened)
-            .prove("x_never_set", max_k=1)
-            .proven
-            is True
-        )
+        pin_pipeline(2, absint=True)
+        assert KInductionEngine(ts).prove("x_never_set", max_k=1).proven is True
 
 
 class TestBtor2:

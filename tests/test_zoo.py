@@ -238,13 +238,14 @@ class TestOracleSample:
     @pytest.mark.parametrize("kernel", ["arena", "reference"])
     @pytest.mark.parametrize("opt_level", [0, 2])
     def test_verdict_invariant_across_kernels_and_opt_levels(
-        self, kernel, opt_level, monkeypatch
+        self, kernel, opt_level, monkeypatch, pin_pipeline
     ):
         # The oracle's answer is a property of the design, not of the SAT
         # kernel or the encoding pipeline: both kernels at both ends of
         # the optimisation range must agree, cex length included.
         monkeypatch.setenv("REPRO_SAT_BACKEND", kernel)
-        settings = OracleSettings(engines=("bmc",), opt_level=opt_level)
+        pin_pipeline(opt_level)
+        settings = OracleSettings(engines=("bmc",))
         report = run_instance(
             instantiate(sample_recipe("alu_op_swap", seed=1)), settings
         )
@@ -304,6 +305,17 @@ class TestShrinking:
         assert dict(result.shrunk["params"])["op"] == "ADD"
         assert result.shrunk_cex_length <= result.original_cex_length
 
+    def test_bmc_only_settings_keep_every_other_field(self):
+        from repro.zoo.shrink import _bmc_only
+
+        settings = OracleSettings(
+            bmc_conflict_budget=123, control_bound=4, pdr_max_frames=2
+        )
+        assert _bmc_only(settings) == OracleSettings(
+            engines=("bmc",), bmc_conflict_budget=123, control_bound=4, pdr_max_frames=2
+        )
+        assert _bmc_only(None) == OracleSettings(engines=("bmc",))
+
     def test_shrink_never_lengthens_the_counterexample(self):
         # wb_drop's lattice points at double_write, whose shortest trace
         # is *longer*; the shrinker must refuse that step.
@@ -351,8 +363,8 @@ class TestCampaign:
         assert json.loads(blob)["summary"]["passed"] is True
 
     def test_record_resolves_kernel_and_pipeline(self, monkeypatch):
-        # The record names what ran: the env-pinned kernel and opt level,
-        # not the unresolved defaults of the settings object.
+        # The record names what ran: the kernel and pipeline resolved from
+        # the environment, which is their only selector.
         config = CampaignConfig(count=1, settings=_BMC_ONLY)
         monkeypatch.setenv("REPRO_SAT_BACKEND", "reference")
         monkeypatch.setenv("REPRO_OPT_LEVEL", "0")

@@ -26,10 +26,10 @@ Exemptions:
 
 **Environment reads** (everywhere).  Process-default knobs must resolve in
 one designated config module per subsystem, so a knob's precedence
-(explicit argument > environment > default) is auditable in one place and
-workers inherit configuration through pickled config objects rather than
-ambient environment state.  Flagged: any ``os.environ`` / ``os.getenv``
-use outside the allowlisted config modules.  Lines carrying a
+(environment > default) is auditable in one place.  The environment is
+each knob's only selector; ``TaskPool``'s forked workers inherit it.
+Flagged: any ``os.environ`` / ``os.getenv`` use outside the allowlisted
+config modules.  Lines carrying a
 ``# selflint: allow-env`` comment are exempt — for reads that genuinely
 belong where they are (document why at the site).
 
