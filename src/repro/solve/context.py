@@ -390,12 +390,10 @@ class SolverContext:
             )
         model: dict[str, int] = {}
         if need_model:
-            backend_model = result.model
-            if self._pre is not None:
-                # Complete the model through eliminated auxiliary variables
-                # so every CNF literal reads consistently.
-                backend_model = self._pre.extend_model(backend_model)
-            model = self._extract_model(backend_model, assumption_terms, full_model)
+            # Extraction reads only named-variable bits, which _sync freezes
+            # before the flush that first sees them: preprocessing never
+            # eliminates them, so the backend model needs no extension.
+            model = self._extract_model(result.model, assumption_terms, full_model)
         return BVResult(
             True,
             model=model,

@@ -388,6 +388,51 @@ class TestKInductionIncremental:
         assert result.proven is None
 
 
+class TestPreprocessedModels:
+    """At opt level 2 the backend model is read as is, without extension."""
+
+    def test_named_bits_are_never_eliminated(self, pin_pipeline, monkeypatch):
+        pin_pipeline(2)
+        ctx = SolverContext()
+        raw = {}
+        solve = ctx.backend.solve
+
+        def recording_solve(*args, **kwargs):
+            result = solve(*args, **kwargs)
+            raw["model"] = result.model
+            return result
+
+        monkeypatch.setattr(ctx.backend, "solve", recording_solve)
+        # CEGIS-style: unknown program constants p, q, r must map every
+        # example input to the spec output ((x + 5) ^ 9) & 3, the examples
+        # blasted into one incremental context, and a scope adds one more.
+        p, q, r = (T.bv_var(f"guard_{n}", W) for n in "pqr")
+        low = T.bv_const(3, W)
+
+        def program(x):
+            return T.bv_and(T.bv_xor(T.bv_add(x, p), q), r)
+
+        for example in (1, 6, 11, 20):
+            want = (((example + 5) & mask(W)) ^ 9) & 3
+            ctx.add(T.bv_eq(program(T.bv_const(example, W)), T.bv_const(want, W)))
+        ctx.push()
+        ctx.add(T.bv_eq(r, low))
+        below = T.bv_ult(q, T.bv_const(16, W))
+        result = ctx.check(assumptions=[below], full_model=True)
+        assert result.satisfiable
+        assert ctx._pre.stats.vars_eliminated > 0
+        blaster = ctx._blaster
+        for name in blaster._var_bits:
+            for bit in blaster.variable_bits(name):
+                assert not ctx._pre.is_eliminated(bit), name
+        extended = ctx._pre.extend_model(raw["model"])
+        assert result.model == ctx._extract_model(extended, [], full_model=True)
+        for example in (1, 6, 11, 20):
+            assert result.value_of(program(T.bv_const(example, W))) == (
+                ((example + 5) & mask(W)) ^ 9
+            ) & 3
+
+
 class TestCegisIncremental:
     @pytest.fixture(scope="class")
     def spec_and_components(self, small_isa, small_library):
