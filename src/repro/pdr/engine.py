@@ -624,9 +624,8 @@ class _PdrRun:
         per-literal ``cube'`` assumptions make the failed-assumption core
         name exactly the literals the refutation needed.  Callers that only
         consume the verdict/core (generalisation trials) pass
-        ``need_model=False`` — model reconstruction through the
-        preprocessor's eliminated variables is the most expensive part of a
-        SAT answer.
+        ``need_model=False``, which skips building the kernel's model over
+        every CNF variable and reading the named variables out of it.
         """
         self.stats.consecution_queries += 1
         assumptions = list(self._frame_assumptions(frame - 1))

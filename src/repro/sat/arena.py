@@ -26,6 +26,11 @@ around a single flat ``array('i')``:
 * **Allocation-free hot loops.**  ``_propagate`` and ``_analyze`` hoist
   every container into a local and inline value lookup and enqueue; the
   only allocations on the conflict path are the learned clause itself.
+* **Decision variables only.**  A variable joins the order heap the first
+  time it occurs in a clause given to ``add_clause``.  Reserved variables
+  that occur in no clause (mostly those that bounded variable elimination
+  in :mod:`repro.sat.preprocess` removed) are never branched on: they
+  stay unassigned unless assumed, and read ``False`` in the model.
 * **Arena garbage collection.**  The learned database is bounded by a
   geometrically growing limit; on reduction the surviving clauses are
   *compacted* into a fresh arena (refs remapped, watchers rebuilt from the
@@ -129,6 +134,9 @@ class ArenaSolver:
         self._ok = True
         self._learned_limit = _INITIAL_LEARNED_LIMIT
         self._seen = bytearray(1)
+        # Per var: 1 once the var has occurred in a clause given to
+        # add_clause.  Only these decision variables go on the order heap.
+        self._decision = bytearray(1)
         self.stats = SolverStats()
         if cnf is not None:
             self.add_cnf(cnf)
@@ -147,10 +155,13 @@ class ArenaSolver:
             self._watches.append([])
             self._watches.append([])
             self._seen.append(0)
-            heapq.heappush(self._order_heap, (0.0, self._num_vars))
+            self._decision.append(0)
 
     def reserve(self, num_vars: int) -> None:
-        """Make sure variables ``1..num_vars`` exist even if unconstrained."""
+        """Make sure variables ``1..num_vars`` exist even if unconstrained.
+
+        A reserved variable is branched on only once a clause mentions it.
+        """
         self._ensure_var(num_vars)
 
     @property
@@ -175,11 +186,16 @@ class ArenaSolver:
             return
         seen: dict[int, int] = {}
         lits: list[int] = []
+        decision = self._decision
         for lit in literals:
             lit = int(lit)
             if lit == 0:
                 raise SatError("literal 0 is not allowed in a clause")
-            self._ensure_var(abs(lit))
+            var = abs(lit)
+            self._ensure_var(var)
+            if not decision[var]:
+                decision[var] = 1
+                heapq.heappush(self._order_heap, (-self._activity[var], var))
             if lit in seen:
                 continue
             if -lit in seen:
@@ -588,15 +604,20 @@ class ArenaSolver:
     # --------------------------------------------------------------- decision
 
     def _decide(self) -> int:
-        """Pick the unassigned variable with the highest activity (or 0)."""
+        """Pick the unassigned decision variable with the highest activity.
+
+        Returns 0 when every decision variable is assigned.  The heap holds
+        an entry for every unassigned decision variable (``add_clause``
+        pushes a variable when it becomes one, ``_backtrack`` re-pushes
+        everything it unassigns), so an empty heap means a full model.
+        Stale entries are assigned variables and assumed clause-free ones.
+        """
         values = self._values
+        decision = self._decision
         heap = self._order_heap
         while heap:
             _, var = heapq.heappop(heap)
-            if values[var + var] == 0:
-                return var
-        for var in range(1, self._num_vars + 1):
-            if values[var + var] == 0:
+            if values[var + var] == 0 and decision[var]:
                 return var
         return 0
 
@@ -934,6 +955,7 @@ class ArenaSolver:
                         check_arena_reasons(self)
                     model: dict[int, bool] = {}
                     if need_model:
+                        # Clause-free variables left unassigned read False.
                         model = {
                             v: values[v + v] == 1
                             for v in range(1, self._num_vars + 1)

@@ -130,9 +130,22 @@ class Preprocessor:
     # ------------------------------------------------------------- main entry
 
     def flush(self, batch: Iterable[Sequence[int]]) -> list[tuple[int, ...]]:
-        """Preprocess ``batch`` and return the clauses to hand to the backend."""
-        clauses: list[tuple[int, ...]] = [tuple(clause) for clause in batch]
-        self.stats.clauses_in += len(clauses)
+        """Preprocess ``batch`` and return the clauses to hand to the backend.
+
+        Tautologies (clauses holding both ``x`` and ``-x``) are dropped on
+        intake: they hold under every assignment.
+        """
+        clauses: list[tuple[int, ...]] = []
+        count = 0
+        for clause in batch:
+            clause = tuple(clause)
+            count += 1
+            for lit in clause:
+                if -lit in clause:
+                    break
+            else:
+                clauses.append(clause)
+        self.stats.clauses_in += count
         clauses.extend(self._restore_referenced(clauses))
         pending = _Pending(self, clauses)
         for _ in range(self.max_rounds):

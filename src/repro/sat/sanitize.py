@@ -21,7 +21,10 @@ structure invariants at every quiescent point of the search:
   arena parses back into exactly the recorded clause refs, activity slots
   are a bijection, and reason refs survived the remap;
 * **model soundness** — every SAT answer is checked against *every* clause
-  (problem and learned) before it is returned;
+  (problem and learned) before it is returned: each clause must be
+  satisfied and each of its variables assigned.  Variables that occur in
+  no clause are never branched on and may stay unassigned; a variable of
+  a clause left unassigned means the order heap lost a decision variable;
 * **learned-clause implication** — after every conflict analysis the
   (recursively minimised) learned clause must still be falsified by the
   conflicting assignment with its asserting literal at the conflict level,
@@ -195,13 +198,22 @@ def check_reference_reasons(solver) -> None:
 
 
 def check_reference_model(solver) -> None:
-    """Full clause-satisfaction check before a SAT answer is returned."""
+    """Full clause-satisfaction check before a SAT answer is returned.
+
+    Every variable of every clause must be assigned; variables that occur
+    in no clause may stay unassigned.
+    """
     assign = solver._assign
-    for var in range(1, solver._num_vars + 1):
-        if assign[var] == 0:
-            _fail(solver, "model", f"SAT answer with unassigned variable {var}")
     for group, clauses in (("problem", solver._clauses), ("learned", solver._learned)):
         for clause in clauses:
+            for lit in clause.lits:
+                if assign[abs(lit)] == 0:
+                    _fail(
+                        solver,
+                        "model",
+                        f"SAT answer leaves variable {abs(lit)} of a {group} "
+                        "clause unassigned",
+                    )
             if not any(
                 (assign[abs(lit)] == 1) == (lit > 0) for lit in clause.lits
             ):
@@ -428,18 +440,23 @@ def check_arena_reasons(solver) -> None:
 
 
 def check_arena_model(solver) -> None:
-    """Full clause-satisfaction check before a SAT answer is returned."""
+    """Arena twin of :func:`check_reference_model` (encoded literals)."""
     arena = solver._arena
     values = solver._values
-    for var in range(1, solver._num_vars + 1):
-        if values[var + var] == 0:
-            _fail(solver, "model", f"SAT answer with unassigned variable {var}")
     for group, refs in (
         ("problem", solver._clause_refs),
         ("learned", solver._learned_refs),
     ):
         for ref in refs:
             size = arena[ref - 2]
+            for k in range(ref, ref + size):
+                if values[arena[k]] == 0:
+                    _fail(
+                        solver,
+                        "model",
+                        f"SAT answer leaves variable {arena[k] >> 1} of a "
+                        f"{group} clause unassigned",
+                    )
             if not any(values[arena[k]] == 1 for k in range(ref, ref + size)):
                 _fail(
                     solver,

@@ -4,7 +4,8 @@ The implementation follows the classic MiniSat recipe:
 
 * two-watched-literal unit propagation,
 * first-UIP conflict analysis with clause learning,
-* VSIDS variable activities with phase saving,
+* VSIDS variable activities with phase saving, branching only on
+  variables that occur in a clause,
 * Luby-sequence restarts,
 * learned-clause database reduction based on activity.
 
@@ -105,7 +106,9 @@ class SatResult:
 
     ``satisfiable`` is ``True``/``False`` for a decided query and ``None``
     if the solver hit its conflict budget.  When satisfiable, ``model`` maps
-    every variable index to a boolean.  ``stats`` is a *detached snapshot*
+    every variable index to a boolean.  The kernels branch only on variables
+    that occur in a clause; any other variable reads ``False`` unless it was
+    assumed.  ``stats`` is a *detached snapshot*
     of the solver's cumulative counters at the time the result was built:
     later calls on the same solver instance do not mutate a stored result.
 
@@ -212,6 +215,9 @@ class SatSolver:
         self._qhead = 0
         self._ok = True
         self._learned_limit = 2000
+        # Per var: True once the var has occurred in a clause given to
+        # add_clause.  Only these decision variables go on the order heap.
+        self._decision: list[bool] = [False]
         self.stats = SolverStats()
         if cnf is not None:
             self.add_cnf(cnf)
@@ -234,10 +240,13 @@ class SatSolver:
             self._activity.append(0.0)
             self._watches.append([])
             self._watches.append([])
-            heapq.heappush(self._order_heap, (0.0, self._num_vars))
+            self._decision.append(False)
 
     def reserve(self, num_vars: int) -> None:
-        """Make sure variables ``1..num_vars`` exist even if unconstrained."""
+        """Make sure variables ``1..num_vars`` exist even if unconstrained.
+
+        A reserved variable is branched on only once a clause mentions it.
+        """
         self._ensure_var(num_vars)
 
     @property
@@ -266,7 +275,11 @@ class SatSolver:
             lit = int(lit)
             if lit == 0:
                 raise SatError("literal 0 is not allowed in a clause")
-            self._ensure_var(abs(lit))
+            var = abs(lit)
+            self._ensure_var(var)
+            if not self._decision[var]:
+                self._decision[var] = True
+                heapq.heappush(self._order_heap, (-self._activity[var], var))
             if lit in seen:
                 continue
             if -lit in seen:
@@ -577,13 +590,15 @@ class SatSolver:
     # --------------------------------------------------------------- decision
 
     def _decide(self) -> int:
-        """Pick the unassigned variable with the highest activity (or 0)."""
+        """Pick the unassigned decision variable with the highest activity.
+
+        Returns 0 when every decision variable is assigned: ``add_clause``
+        pushes a variable when it becomes one and ``_backtrack`` re-pushes
+        everything it unassigns, so the heap holds every unassigned one.
+        """
         while self._order_heap:
             _, var = heapq.heappop(self._order_heap)
-            if self._assign[var] == _UNASSIGNED:
-                return var
-        for var in range(1, self._num_vars + 1):
-            if self._assign[var] == _UNASSIGNED:
+            if self._assign[var] == _UNASSIGNED and self._decision[var]:
                 return var
         return 0
 
@@ -746,6 +761,7 @@ class SatSolver:
                         check_reference_reasons(self)
                     model: dict[int, bool] = {}
                     if need_model:
+                        # Clause-free variables left unassigned read False.
                         model = {
                             v: self._assign[v] == _TRUE
                             for v in range(1, self._num_vars + 1)

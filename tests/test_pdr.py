@@ -308,8 +308,8 @@ class TestPdrOnProcessorModel:
         # opt_level=0 re-check.  The scaled-down golden configuration
         # (single-op ISA, depth-1 QED fifo) is the largest one whose proof
         # fits the tier-2 nightly budget: with the conflict-quality stack
-        # it converges at frame 6 with a ~345-clause invariant (plain MIC
-        # used to need frame 8 and ~900 clauses).  The full ADD+SUB op set
+        # it converges at frame 8 with a ~340-clause invariant (plain MIC
+        # used to need ~900 clauses).  The full ADD+SUB op set
         # on the same depth-1 fifo — which plain MIC walled at frame 4 —
         # now converges too, but only inside the nightly bench-pdr-full
         # budget: it is covered by the committed BENCH_pdr.json convergence

@@ -57,6 +57,25 @@ class TestUnitPropagation:
         assert pre.unsat is True
 
 
+class TestTautologies:
+    def test_tautology_is_dropped_before_elimination(self):
+        # Var 2's elimination used to resolve against [1, -1, 2] and crash.
+        pre = Preprocessor()
+        clauses = [[1, -1, 2], [-2, 3], [2, 3]]
+        out = pre.flush(clauses)
+        assert pre.stats.clauses_in == 3
+        assert all(not any(-lit in c for lit in c) for c in out)
+        model = pre.extend_model(_solve(out).model)
+        assert all(
+            any(model.get(abs(l), False) == (l > 0) for l in c) for c in clauses
+        )
+
+    def test_tautology_over_frozen_vars_is_not_emitted(self):
+        pre = Preprocessor()
+        pre.freeze_all([1, 2])
+        assert pre.flush([[1, 2, -1], [1, 2]]) == [(1, 2)]
+
+
 class TestSubsumption:
     def test_forward_subsumption_within_batch(self):
         pre = Preprocessor()

@@ -160,6 +160,68 @@ class TestSolverBasics:
         assert result.model == {}
 
 
+def _set_value(solver, var: int, value: int) -> None:
+    """Force ``var`` to 1 (true), -1 (false) or 0 (unassigned) in either kernel."""
+    if isinstance(solver, ArenaSolver):
+        solver._values[var + var] = value
+        solver._values[var + var + 1] = -value
+    else:
+        solver._assign[var] = value
+
+
+@pytestmark_kernels
+class TestDecisionVariables:
+    """Only variables that occur in a clause are branched on."""
+
+    def test_reserved_clause_free_vars_cost_no_decisions(self, solver_cls):
+        solver = solver_cls()
+        solver.reserve(5000)
+        solver.add_clause([1, 2])
+        solver.add_clause([-1, 2])
+        result = solver.solve()
+        assert result.satisfiable is True
+        assert result.stats.decisions <= 2
+        assert result.value(2) is True
+        assert result.value(4999) is False
+        assert len(result.model) == 5000
+
+    def test_var_first_seen_in_a_later_clause_is_branched_on(self, solver_cls):
+        solver = solver_cls()
+        solver.reserve(4)
+        solver.add_clause([1, 2])
+        assert solver.solve().satisfiable is True
+        # Left unbranched, vars 3 and 4 would both read False.
+        solver.add_clause([3, 4])
+        decisions = solver.stats.decisions
+        result = solver.solve()
+        assert result.satisfiable is True
+        assert result.value(3) or result.value(4)
+        assert solver.stats.decisions > decisions
+
+    def test_assumption_on_clause_free_var_is_honoured(self, solver_cls):
+        solver = solver_cls()
+        solver.reserve(10)
+        solver.add_clause([1, 2])
+        assert solver.solve(assumptions=[7]).value(7) is True
+        assert solver.solve(assumptions=[-7, 9]).value(9) is True
+        # Unassumed again, it is not branched on and reads False.
+        result = solver.solve()
+        assert result.value(7) is False and result.value(9) is False
+
+    def test_model_sanitizer_allows_unassigned_clause_free_var(self, solver_cls):
+        from repro.errors import SanitizerError
+        from repro.sat.sanitize import check_arena_model, check_reference_model
+
+        check = check_arena_model if solver_cls is ArenaSolver else check_reference_model
+        solver = solver_cls(CNF([[1, 2]], num_vars=3), sanitize=True)
+        _set_value(solver, 1, 1)
+        _set_value(solver, 2, -1)
+        check(solver)  # var 3 occurs in no clause: unassigned is fine
+        _set_value(solver, 2, 0)  # the clause still holds, through var 1
+        with pytest.raises(SanitizerError, match=r"\[model\].*variable 2"):
+            check(solver)
+
+
 def _pigeonhole_clauses(pigeons: int, holes: int) -> list[list[int]]:
     def var(p, h):
         return 1 + p * holes + h

@@ -432,6 +432,55 @@ class TestPreprocessedModels:
                 ((example + 5) & mask(W)) ^ 9
             ) & 3
 
+    def test_sat_answer_does_not_branch_on_eliminated_vars(self):
+        # Deterministic work gate: eliminated variables occur in no clause
+        # the kernel holds, so a SAT answer must not spend a decision on
+        # each of them.
+        x, y = T.bv_var("fx", 8), T.bv_var("fy", 8)
+        ctx = SolverContext(opt_level=2)
+        ctx.add(T.bv_eq(T.bv_mul(x, y), T.bv_const(143, 8)))
+        result = ctx.check()
+        assert result.satisfiable
+        assert result.value_of(T.bv_mul(x, y)) == 143
+        eliminated = ctx.encoding_stats().vars_eliminated
+        assert eliminated > 50
+        assert result.stats.decisions < eliminated
+
+    def test_assumption_on_eliminated_var_restores_its_clauses(self, monkeypatch):
+        from repro.sat.sanitize import ENV_SANITIZE
+
+        monkeypatch.setenv(ENV_SANITIZE, "1")
+        x, y = T.bv_var("fx", 8), T.bv_var("fy", 8)
+        product = T.bv_eq(T.bv_mul(x, y), T.bv_const(143, 8))
+        ctx = SolverContext(opt_level=2)
+        ctx.add(T.bv_or(product, T.bv_ult(x, T.bv_const(3, 8))))
+        assert ctx.check().satisfiable
+        lit = ctx.blaster.assumption_literal(product)
+        assert ctx._pre.is_eliminated(abs(lit))
+        restored, raw = [], {}
+        feed, solve = ctx._feed_restored, ctx.backend.solve
+
+        def recording_feed(clauses):
+            restored.extend(clauses)
+            feed(clauses)
+
+        def recording_solve(*args, **kwargs):
+            result = solve(*args, **kwargs)
+            raw["model"] = result.model
+            return result
+
+        monkeypatch.setattr(ctx, "_feed_restored", recording_feed)
+        monkeypatch.setattr(ctx.backend, "solve", recording_solve)
+        # The kernel's model sanitizer runs on this answer.
+        result = ctx.check(assumptions=[product])
+        assert result.satisfiable
+        assert restored and not ctx._pre.is_eliminated(abs(lit))
+        model = raw["model"]
+        assert model[abs(lit)] == (lit > 0)
+        for clause in restored:
+            assert any(model[abs(l)] == (l > 0) for l in clause), clause
+        assert result.value_of(T.bv_mul(x, y)) == 143
+
 
 class TestCegisIncremental:
     @pytest.fixture(scope="class")
